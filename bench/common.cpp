@@ -1,5 +1,6 @@
 #include "common.hpp"
 
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -9,13 +10,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 
-#include "simcore/shard.hpp"
+#include "simcore/parallel.hpp"
 
 #include "obs/attr.hpp"
 #include "obs/critpath.hpp"
@@ -43,11 +45,10 @@ std::string gOpTracePath;
 std::uint32_t gOpTraceSampleEvery = 0;  // 0 = OpTracer::kDefaultSampleEvery
 std::string gObsDir;
 std::string gRuntimeProfPath;
-std::string gRuntimeTracePath;
 // The process-wide runtime profiler (obs/runtimeprof.hpp), created and
 // installed by obsInit when --runtime-profile is given; flushed (JSON +
-// manifest + optional Chrome trace) by perfFlush. Process-global rather
-// than per-stack: real time cuts across stacks.
+// manifest) by perfFlush. Process-global rather than per-stack: real time
+// cuts across stacks.
 std::unique_ptr<obs::RuntimeProfiler> gRuntimeProf;
 bool gRuntimeProfFlushed = false;
 // Captured by obsInit for the run manifests written next to each artifact.
@@ -203,6 +204,23 @@ void writeManifest(const std::string& artifactPath, const char* artifact,
   }
 }
 
+/// The --threads value: plain decimal digits spelling an integer >= 1,
+/// nothing else. Anything else exits 2 rather than silently running
+/// serially.
+unsigned parseThreads(const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const long n = std::strtol(text, &end, 10);
+  if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
+      n < 1 || n > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr,
+                 "error: --threads: expected an integer >= 1, got '%s'\n",
+                 text);
+    std::exit(2);
+  }
+  return static_cast<unsigned>(n);
+}
+
 }  // namespace
 
 void obsInit(int argc, char** argv) {
@@ -278,10 +296,6 @@ void obsInit(int argc, char** argv) {
       gRuntimeProfPath = "runtimeprof.json";
     } else if (std::strncmp(a, "--runtime-profile=", 18) == 0) {
       gRuntimeProfPath = a + 18;
-    } else if (std::strcmp(a, "--runtime-trace") == 0 && i + 1 < argc) {
-      gRuntimeTracePath = argv[++i];
-    } else if (std::strncmp(a, "--runtime-trace=", 16) == 0) {
-      gRuntimeTracePath = a + 16;
     } else if (std::strcmp(a, "--obs-dir") == 0 && i + 1 < argc) {
       gObsDir = argv[++i];
     } else if (std::strncmp(a, "--obs-dir=", 10) == 0) {
@@ -292,12 +306,10 @@ void obsInit(int argc, char** argv) {
       const long n = std::strtol(a + 12, nullptr, 10);
       gFlightRecEvents = n > 0 ? static_cast<std::size_t>(n)
                                : obs::FlightRecorder::kDefaultEvents;
-    } else if (std::strcmp(a, "--threads") == 0 && i + 1 < argc) {
-      const long n = std::strtol(argv[++i], nullptr, 10);
-      gThreads = n > 1 ? static_cast<unsigned>(n) : 1;
+    } else if (std::strcmp(a, "--threads") == 0) {
+      gThreads = parseThreads(i + 1 < argc ? argv[++i] : "");
     } else if (std::strncmp(a, "--threads=", 10) == 0) {
-      const long n = std::strtol(a + 10, nullptr, 10);
-      gThreads = n > 1 ? static_cast<unsigned>(n) : 1;
+      gThreads = parseThreads(a + 10);
     } else if (std::strcmp(a, "--simcheck") == 0) {
       gSimCheckMode = sim::SimCheckMode::kOn;
     } else if (std::strncmp(a, "--simcheck=", 11) == 0) {
@@ -346,14 +358,10 @@ void obsInit(int argc, char** argv) {
         std::exit(2);
       }
     }
-    obs::RuntimeProfiler::Config cfg;
-    if (!gRuntimeTracePath.empty()) cfg.maxSpansPerRun = 200000;
-    gRuntimeProf = std::make_unique<obs::RuntimeProfiler>(cfg);
+    gRuntimeProf = std::make_unique<obs::RuntimeProfiler>();
     gRuntimeProf->install();
-    std::fprintf(stderr, "[obs] runtime execution profile to %s%s%s\n",
-                 gRuntimeProfPath.c_str(),
-                 gRuntimeTracePath.empty() ? "" : ", worker spans to ",
-                 gRuntimeTracePath.c_str());
+    std::fprintf(stderr, "[obs] runtime execution profile to %s\n",
+                 gRuntimeProfPath.c_str());
   }
 }
 
@@ -376,9 +384,8 @@ void perfRecord(const std::string& label, double wallSeconds,
 
 namespace {
 
-/// Export the runtime profile (once): JSON + manifest sidecar, plus the
-/// Chrome trace when --runtime-trace asked for one. Announces on stderr so
-/// figure stdout stays byte-identical with profiling on.
+/// Export the runtime profile (once): JSON + manifest sidecar. Announces
+/// on stderr so figure stdout stays byte-identical with profiling on.
 bool runtimeProfFlush() {
   if (!gRuntimeProf || gRuntimeProfFlushed) return true;
   gRuntimeProfFlushed = true;
@@ -392,19 +399,10 @@ bool runtimeProfFlush() {
   }
   writeManifest(gRuntimeProfPath, "runtimeprof", 0, 0);
   std::fprintf(stderr,
-               "[obs] runtime profile: %zu shard run(s), %zu parallel "
-               "region(s), %zu point(s) -> %s\n",
-               gRuntimeProf->shardRuns().size(), gRuntimeProf->regions().size(),
-               gRuntimeProf->points().size(), gRuntimeProfPath.c_str());
-  if (!gRuntimeTracePath.empty()) {
-    if (!gRuntimeProf->writeChromeTrace(gRuntimeTracePath)) {
-      std::fprintf(stderr, "error: --runtime-trace: cannot write %s\n",
-                   gRuntimeTracePath.c_str());
-      return false;
-    }
-    std::fprintf(stderr, "[obs] runtime worker spans -> %s\n",
-                 gRuntimeTracePath.c_str());
-  }
+               "[obs] runtime profile: %zu parallel region(s), %zu point(s) "
+               "-> %s\n",
+               gRuntimeProf->regions().size(), gRuntimeProf->points().size(),
+               gRuntimeProfPath.c_str());
   return true;
 }
 

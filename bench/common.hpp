@@ -83,25 +83,21 @@ std::string secs(double seconds);
 ///                      trace events per layer per stack; SimChecker
 ///                      violations and failed SHAPE CHECKs dump it to stderr
 ///   --runtime-profile[=FILE]
-///                      real-time execution profile of the parallel engine
-///                      (obs/runtimeprof.hpp): per-shard window phase wall
-///                      times, critical-shard attribution, per-parallelFor-
-///                      job walls and per-point wall records. FILE defaults
-///                      to runtimeprof.json; written at perfFlush with a
-///                      manifest sidecar. Feed it to `trace_report
-///                      --runtime`. Wall-clock by nature, so the JSON is
-///                      NOT byte-stable across runs — it is deliberately
-///                      not derived by --obs-dir and excluded from artifact
-///                      identity comparisons. Figure stdout stays
-///                      byte-identical with profiling on (announce lines go
-///                      to stderr).
-///   --runtime-trace FILE
-///                      with --runtime-profile: also export the real-time
-///                      worker spans (window phases, tid = worker) as a
-///                      Chrome trace viewable next to the simulated-time
-///                      --trace output.
+///                      real-time execution profile of the point-level
+///                      parallelism (obs/runtimeprof.hpp): per-parallelFor-
+///                      job walls with point labels and per-point wall
+///                      records. FILE defaults to runtimeprof.json; written
+///                      at perfFlush with a manifest sidecar. Feed it to
+///                      `trace_report --runtime`. Wall-clock by nature, so
+///                      the JSON is NOT byte-stable across runs — it is
+///                      deliberately not derived by --obs-dir and excluded
+///                      from artifact identity comparisons. Figure stdout
+///                      stays byte-identical with profiling on (announce
+///                      lines go to stderr).
 ///   --threads=N        simulate the harness's independent points on N
-///                      worker threads (default 1 = the serial reference).
+///                      worker threads (default 1 = the serial reference;
+///                      `--threads N` also works). N must be an integer
+///                      >= 1; anything else exits 2.
 ///                      Results, stdout, and every perf/obs artifact are
 ///                      byte-identical to the serial run: points are
 ///                      prefetched into a cache and consumed in program

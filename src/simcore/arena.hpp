@@ -8,11 +8,13 @@
 // malloc. `Task<T>::promise_type` (task.hpp) and the scheduler's RootRunner
 // opt in by inheriting `detail::FrameArenaAllocated`.
 //
-// The arena is thread-local: the simulator is single-threaded, and hostio's
-// thread-per-rank backend does not run coroutines, but a per-thread arena
-// keeps the allocator correct even if tasks are ever built on another
-// thread (frames must then be destroyed on the thread that created them —
-// already true of every current use).
+// The arena is thread-local: each simulation runs on one thread, and
+// sim::parallelFor (parallel.hpp) runs several whole simulations at once,
+// one per worker, so a per-thread arena needs no locking. Frames must be
+// destroyed on the thread that created them — true of every current use,
+// since a parallelFor job builds, runs and tears down its simulation on
+// the worker that claimed it (hostio's thread-per-rank backend does not
+// run coroutines).
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,10 @@
-// Byte-identity gate for the parallel simulation core: the figure benches
-// must produce the SAME bytes — stdout and every --telemetry/--attr export —
-// whether the simulation points run serially or prefetched on 8 threads.
-// This is the determinism contract of bench/common.cpp's prefetch cache
-// (FIFO consumption in program order, pre-assigned artifact ordinals,
-// replayed perf records) and of sim::ShardGroup's deterministic merge.
+// Byte-identity gate for point-level parallelism: the figure benches must
+// produce the SAME bytes — stdout and every --telemetry/--attr export —
+// whether the simulation points run serially or prefetched on 8 threads
+// by sim::parallelFor. This is the determinism contract of
+// bench/common.cpp's prefetch cache (each point an isolated simulation,
+// FIFO consumption in program order, pre-assigned artifact ordinals,
+// replayed perf records).
 //
 // Manifest sidecars (*.manifest.json) are excluded from the comparison:
 // they record the exact argv of the run, which legitimately differs by the

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #ifndef TOOLS_BIN_DIR
@@ -269,25 +270,6 @@ TEST(TraceReportCli, WaterfallReqUsageErrors) {
             2);
 }
 
-TEST(TraceReportCli, RuntimeModeRendersPhaseTableAndCriticalShard) {
-  const auto r =
-      run(traceReport() + " --runtime " + fixture("runtimeprof_ring.json"));
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("shard group [shards=4 threads=4]"),
-            std::string::npos)
-      << r.output;
-  // The four phase shares must sum to 100% (barrier' = barrier - reduce).
-  EXPECT_NE(r.output.find("drain 10.0% + reduce 10.0% + barrier-wait 40.0% "
-                          "+ execute 40.0% = 100%"),
-            std::string::npos)
-      << r.output;
-  // The acceptance-shaped summary line: who sets the horizon, at what cost.
-  EXPECT_NE(r.output.find("critical shard: shard 3 critical in 72% of "
-                          "windows; barrier wait = 40% of worker wall"),
-            std::string::npos)
-      << r.output;
-}
-
 TEST(TraceReportCli, RuntimeModeDecomposesParallelRegion) {
   const auto r =
       run(traceReport() + " --runtime " + fixture("runtimeprof_ring.json"));
@@ -304,7 +286,7 @@ TEST(TraceReportCli, RuntimeModeDecomposesParallelRegion) {
       << r.output;
 }
 
-TEST(TraceReportCli, RuntimeDiffComparesPointsAndPhaseShares) {
+TEST(TraceReportCli, RuntimeDiffComparesPoints) {
   const auto r =
       run(traceReport() + " --runtime " + fixture("runtimeprof_ring.json") +
           " --diff " + fixture("runtimeprof_ring.json"));
@@ -313,9 +295,6 @@ TEST(TraceReportCli, RuntimeDiffComparesPointsAndPhaseShares) {
   EXPECT_NE(r.output.find("np=65536 coIO nf=1"), std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("1.00x"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("barrier-wait   40.0% ->   40.0%"),
-            std::string::npos)
-      << r.output;
 }
 
 TEST(TraceReportCli, RuntimeRejectsWrongSchemaVersion) {
@@ -330,6 +309,69 @@ TEST(TraceReportCli, RuntimeRejectsWrongManifestVersion) {
                      fixture("runtimeprof_badmanifest.json"));
   EXPECT_EQ(r.exitCode, 2) << r.output;
   EXPECT_NE(r.output.find("manifest schema"), std::string::npos) << r.output;
+}
+
+/// Write `body` to a scratch runtime profile and return its path.
+std::string scratchProfile(const char* name, const char* body) {
+  const auto path = std::filesystem::temp_directory_path() /
+                    (std::string(name) + "_" + std::to_string(::getpid()) +
+                     ".json");
+  std::ofstream(path) << body;
+  return path.string();
+}
+
+TEST(TraceReportCli, RuntimeRejectsV1Profile) {
+  // Schema v1 profiles (which also carried shard-run tables) are not read.
+  const std::string path = scratchProfile(
+      "runtimeprof_v1",
+      "{\"schema\": \"bgckpt-runtimeprof-1\", \"clock\": \"steady\", "
+      "\"parallel_regions\": [], \"points\": []}\n");
+  const auto r = run(traceReport() + " --runtime " + path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(r.exitCode, 2) << r.output;
+  EXPECT_NE(r.output.find("not supported"), std::string::npos) << r.output;
+}
+
+TEST(TraceReportCli, RuntimeWarnsAboutDroppedRegions) {
+  const std::string path = scratchProfile(
+      "runtimeprof_dropped",
+      "{\"schema\": \"bgckpt-runtimeprof-2\", \"clock\": \"steady\", "
+      "\"dropped_regions\": 3, \"parallel_regions\": [], \"points\": []}\n");
+  const auto r = run(traceReport() + " --runtime " + path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(r.exitCode, 0) << r.output;
+  EXPECT_NE(r.output.find("WARNING: 3 parallel region(s) beyond the "
+                          "retention cap"),
+            std::string::npos)
+      << r.output;
+}
+
+// ---------------------------------------------------------------------------
+// Shared bench flags: --threads takes a whole integer >= 1 or exits 2.
+// ---------------------------------------------------------------------------
+
+std::string eq27Bin() {
+  return std::string(BENCH_BIN_DIR) + "/eq27_speedup_model";
+}
+
+TEST(BenchFlagsCli, ThreadsRejectsMalformedValues) {
+  for (const char* bad : {"abc", "0", "-3", "4x", ""}) {
+    for (const std::string& flag :
+         {std::string("--threads=") + bad,
+          std::string("--threads '") + bad + "'"}) {
+      const auto r = run(eq27Bin() + " " + flag);
+      EXPECT_EQ(r.exitCode, 2) << flag << "\n" << r.output;
+      EXPECT_NE(r.output.find("error: --threads"), std::string::npos)
+          << flag << "\n" << r.output;
+    }
+  }
+  // A trailing --threads with no value is malformed too.
+  EXPECT_EQ(run(eq27Bin() + " --threads").exitCode, 2);
+}
+
+TEST(BenchFlagsCli, ThreadsAcceptsPositiveInteger) {
+  const auto r = run(eq27Bin() + " --threads=2");
+  EXPECT_EQ(r.exitCode, 0) << r.output;
 }
 
 // ---------------------------------------------------------------------------
