@@ -21,9 +21,13 @@ int main(int argc, char** argv) {
   auto privateDirs = iolib::StrategyConfig::onePfpp();
   privateDirs.onePfppPrivateDirs = true;
 
-  const auto sharedRun = runSim(kNp, shared);
-  const auto privateRun = runSim(kNp, privateDirs);
-  const auto rbio = runSim(kNp, iolib::StrategyConfig::rbIo(64, true));
+  const auto results =
+      runSims({{kNp, shared, {}},
+               {kNp, privateDirs, {}},
+               {kNp, iolib::StrategyConfig::rbIo(64, true), {}}});
+  const auto& sharedRun = results[0];
+  const auto& privateRun = results[1];
+  const auto& rbio = results[2];
 
   std::printf("\n  1PFPP, one shared directory : %8s (%s)\n",
               secs(sharedRun.makespan).c_str(),

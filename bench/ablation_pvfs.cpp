@@ -14,19 +14,6 @@
 using namespace bgckpt;
 using namespace bgckpt::bench;
 
-namespace {
-
-double runWith(int np, const fs::FsConfig& cfg,
-               const iolib::StrategyConfig& strategy) {
-  iolib::SimStackOptions opt;
-  opt.fsConfig = cfg;
-  iolib::SimStack stack(np, opt);
-  bgckpt::bench::attachObs(stack);
-  return runSim(stack, np, strategy).bandwidth;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bgckpt::bench::obsInit(argc, argv);
   banner("Ablation - GPFS vs lock-free PVFS personality",
@@ -34,10 +21,11 @@ int main(int argc, char** argv) {
 
   constexpr int kNp = 16384;
   // Hold the per-stream data rate equal so only locking/metadata differ.
-  fs::FsConfig gpfs = fs::gpfsConfig();
-  fs::FsConfig pvfs = fs::pvfsConfig();
-  pvfs.writeStreamBandwidth = gpfs.writeStreamBandwidth;
-  pvfs.readStreamBandwidth = gpfs.readStreamBandwidth;
+  iolib::SimStackOptions gpfs;
+  iolib::SimStackOptions pvfs;
+  pvfs.fsConfig = fs::pvfsConfig();
+  pvfs.fsConfig.writeStreamBandwidth = gpfs.fsConfig.writeStreamBandwidth;
+  pvfs.fsConfig.readStreamBandwidth = gpfs.fsConfig.readStreamBandwidth;
 
   struct Row {
     const char* name;
@@ -54,12 +42,18 @@ int main(int argc, char** argv) {
   };
   std::printf("\n  %-12s | %10s | %10s | %s\n", "strategy", "GPFS", "PVFS",
               "PVFS/GPFS");
-  for (auto& row : rows) {
-    row.gpfsBw = runWith(kNp, gpfs, row.cfg);
-    row.pvfsBw = runWith(kNp, pvfs, row.cfg);
+  std::vector<SimPoint> points;
+  for (const auto& row : rows) {
+    points.push_back({kNp, row.cfg, gpfs});
+    points.push_back({kNp, row.cfg, pvfs});
+  }
+  const auto results = runSims(points);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    auto& row = rows[i];
+    row.gpfsBw = results[2 * i].bandwidth;
+    row.pvfsBw = results[2 * i + 1].bandwidth;
     std::printf("  %-12s | %7.2f GB/s | %7.2f GB/s | %5.2fx\n", row.name,
                 row.gpfsBw / 1e9, row.pvfsBw / 1e9, row.pvfsBw / row.gpfsBw);
-    std::fflush(stdout);
   }
 
   std::vector<Check> checks;

@@ -1,17 +1,15 @@
 #include "common.hpp"
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -65,7 +63,7 @@ unsigned gThreads = 1;
 int gStacksAttached = 0;
 // Keep attached recorders alive past their stacks so a SHAPE CHECK failure
 // at report time can still dump what each run was doing (the global
-// registry in obs/flightrec holds only weak references). Guarded: prefetch
+// registry in obs/flightrec holds only weak references). Guarded: runSims
 // workers attach concurrently.
 std::mutex gFlightRecMu;
 std::vector<std::shared_ptr<obs::FlightRecorder>> gFlightRecorders;
@@ -93,44 +91,6 @@ struct PerfEntry {
   SimMeta sim;
 };
 std::vector<PerfEntry> gPerfEntries;
-
-/// Completed-but-not-yet-consumed simulation points (see prefetchSims).
-/// Written single-threaded after the parallel phase, consumed by runSim.
-struct CachedRun {
-  iolib::CheckpointResult result;
-  std::string label;
-  double wallSeconds = 0.0;
-  std::uint64_t events = 0;
-};
-std::map<std::string, std::deque<CachedRun>> gSimCache;
-
-/// Cache key covering *every* field that changes simulated behaviour.
-/// StrategyConfig::describe() is presentation (it omits hints and buffer
-/// sizes), so it must not be the key.
-std::string pointKey(int np, const iolib::StrategyConfig& cfg,
-                     std::uint64_t seed) {
-  std::string key = std::to_string(np);
-  key += '|';
-  key += std::to_string(static_cast<int>(cfg.kind));
-  key += '|';
-  key += std::to_string(cfg.nf);
-  key += '|';
-  key += std::to_string(cfg.groupSize);
-  key += '|';
-  key += std::to_string(cfg.hints.bgpNodesPset);
-  key += '|';
-  key += std::to_string(cfg.hints.cbBufferSize);
-  key += '|';
-  key += cfg.hints.alignFileDomains ? '1' : '0';
-  key += cfg.hints.deferredOpen ? '1' : '0';
-  key += '|';
-  key += std::to_string(cfg.writerBuffer);
-  key += '|';
-  key += cfg.onePfppPrivateDirs ? '1' : '0';
-  key += '|';
-  key += std::to_string(seed);
-  return key;
-}
 
 std::string jsonEscape(const std::string& s) {
   std::string out;
@@ -204,21 +164,36 @@ void writeManifest(const std::string& artifactPath, const char* artifact,
   }
 }
 
-/// The --threads value: plain decimal digits spelling an integer >= 1,
-/// nothing else. Anything else exits 2 rather than silently running
-/// serially.
-unsigned parseThreads(const char* text) {
+/// A malformed flag value exits 2 rather than silently running with a
+/// default the user did not ask for.
+[[noreturn]] void badValue(const char* flag, const char* expected,
+                           const char* text) {
+  std::fprintf(stderr, "error: %s: expected %s, got '%s'\n", flag, expected,
+               text);
+  std::exit(2);
+}
+
+/// Integer flag values: plain decimal digits spelling an integer >= 1 that
+/// fits an int, nothing else.
+int parseCount(const char* flag, const char* text) {
   char* end = nullptr;
   errno = 0;
   const long n = std::strtol(text, &end, 10);
   if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
-      n < 1 || n > std::numeric_limits<int>::max()) {
-    std::fprintf(stderr,
-                 "error: --threads: expected an integer >= 1, got '%s'\n",
-                 text);
-    std::exit(2);
-  }
-  return static_cast<unsigned>(n);
+      n < 1 || n > std::numeric_limits<int>::max())
+    badValue(flag, "an integer >= 1", text);
+  return static_cast<int>(n);
+}
+
+/// Real flag values: a finite decimal number > 0 (no sign, no inf/nan).
+double parsePositive(const char* flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (((*text < '0' || *text > '9') && *text != '.') || *end != '\0' ||
+      errno == ERANGE || !std::isfinite(v) || v <= 0.0)
+    badValue(flag, "a number > 0", text);
+  return v;
 }
 
 }  // namespace
@@ -269,11 +244,12 @@ void obsInit(int argc, char** argv) {
       gCritPathPath = a + 11;
     } else if (std::strcmp(a, "--telemetry") == 0 && i + 1 < argc) {
       gTelemetryPath = argv[++i];
-    } else if (std::strncmp(a, "--telemetry=", 12) == 0 && i + 1 < argc) {
+    } else if (std::strncmp(a, "--telemetry=", 12) == 0) {
       // --telemetry=<dt> <file>: the value attached to the flag is the
       // bucket width in simulated seconds; the output path follows.
-      const double dt = std::strtod(a + 12, nullptr);
-      gTelemetryDt = dt > 0 ? dt : 0.0;
+      gTelemetryDt = parsePositive("--telemetry", a + 12);
+      if (i + 1 >= argc)
+        badValue("--telemetry", "an output file after the bucket width", "");
       gTelemetryPath = argv[++i];
     } else if (std::strcmp(a, "--optrace") == 0) {
       gOpTraceEnabled = true;
@@ -283,13 +259,9 @@ void obsInit(int argc, char** argv) {
       // --optrace=RATE [file]: RATE > 1 means "every Nth request"; RATE in
       // (0, 1] is a sampling probability converted to the nearest 1-in-N.
       gOpTraceEnabled = true;
-      const double rate = std::strtod(a + 10, nullptr);
-      if (rate > 1.0) {
-        gOpTraceSampleEvery = static_cast<std::uint32_t>(std::lround(rate));
-      } else if (rate > 0.0) {
-        gOpTraceSampleEvery = static_cast<std::uint32_t>(
-            std::max(1.0, std::round(1.0 / rate)));
-      }
+      const double rate = parsePositive("--optrace", a + 10);
+      gOpTraceSampleEvery = static_cast<std::uint32_t>(std::round(
+          std::clamp(rate > 1.0 ? rate : 1.0 / rate, 1.0, 4294967295.0)));
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
         gOpTracePath = argv[++i];
     } else if (std::strcmp(a, "--runtime-profile") == 0) {
@@ -303,23 +275,25 @@ void obsInit(int argc, char** argv) {
     } else if (std::strcmp(a, "--flightrec") == 0) {
       gFlightRecEvents = obs::FlightRecorder::kDefaultEvents;
     } else if (std::strncmp(a, "--flightrec=", 12) == 0) {
-      const long n = std::strtol(a + 12, nullptr, 10);
-      gFlightRecEvents = n > 0 ? static_cast<std::size_t>(n)
-                               : obs::FlightRecorder::kDefaultEvents;
+      gFlightRecEvents =
+          static_cast<std::size_t>(parseCount("--flightrec", a + 12));
     } else if (std::strcmp(a, "--threads") == 0) {
-      gThreads = parseThreads(i + 1 < argc ? argv[++i] : "");
+      gThreads = static_cast<unsigned>(
+          parseCount("--threads", i + 1 < argc ? argv[++i] : ""));
     } else if (std::strncmp(a, "--threads=", 10) == 0) {
-      gThreads = parseThreads(a + 10);
+      gThreads = static_cast<unsigned>(parseCount("--threads", a + 10));
     } else if (std::strcmp(a, "--simcheck") == 0) {
       gSimCheckMode = sim::SimCheckMode::kOn;
     } else if (std::strncmp(a, "--simcheck=", 11) == 0) {
       const char* mode = a + 11;
-      if (std::strcmp(mode, "off") == 0) {
-        gSimCheckMode = sim::SimCheckMode::kOff;
+      if (std::strcmp(mode, "on") == 0) {
+        gSimCheckMode = sim::SimCheckMode::kOn;
       } else if (std::strcmp(mode, "warn") == 0) {
         gSimCheckMode = sim::SimCheckMode::kWarn;
+      } else if (std::strcmp(mode, "off") == 0) {
+        gSimCheckMode = sim::SimCheckMode::kOff;
       } else {
-        gSimCheckMode = sim::SimCheckMode::kOn;
+        badValue("--simcheck", "on, warn or off", mode);
       }
     }
   }
@@ -365,21 +339,27 @@ void obsInit(int argc, char** argv) {
   }
 }
 
+int intFlag(int argc, char** argv, const char* name, int fallback) {
+  const std::size_t len = std::strlen(name);
+  int value = fallback;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], name) == 0)
+      value = parseCount(name, i + 1 < argc ? argv[++i] : "");
+    else if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
+      value = parseCount(name, argv[i] + len + 1);
+  }
+  return value;
+}
+
 sim::SimCheckMode simCheckMode() { return gSimCheckMode; }
 
-unsigned benchThreads() { return gThreads; }
-
-bool runtimeProfileActive() { return gRuntimeProf != nullptr; }
-
 void perfRecord(const std::string& label, double wallSeconds,
-                std::uint64_t events, unsigned threads) {
+                std::uint64_t events) {
   if (gRuntimeProf)
-    gRuntimeProf->recordPoint(label, wallSeconds, events,
-                              threads > 0 ? threads : gThreads);
+    gRuntimeProf->recordPoint(label, wallSeconds, events, gThreads);
   if (gPerfJsonPath.empty()) return;
   gPerfEntries.push_back(
-      PerfEntry{label, wallSeconds, events, threads > 0 ? threads : gThreads,
-                SimMeta{}});
+      PerfEntry{label, wallSeconds, events, gThreads, SimMeta{}});
 }
 
 namespace {
@@ -467,15 +447,11 @@ bool obsActive() {
            !gOpTraceEnabled && gFlightRecEvents == 0);
 }
 
-/// attachObs with an explicit stack ordinal: prefetch workers pre-assign
-/// numbers in point order so the ".2"/".3" artifact suffixes are identical
-/// to a serial run whatever order the workers finish in.
+/// attachObs with an explicit stack ordinal: runSims pre-assigns numbers
+/// in point order so the ".2"/".3" artifact suffixes are identical to a
+/// serial run whatever order the workers finish in.
 void attachObsNumbered(iolib::SimStack& stack, int n) {
   const int np = stack.rt.numRanks();
-  // --trace/--metrics historically announce on stdout; concurrent workers
-  // would interleave them, so with --threads > 1 they join the newer flags
-  // on stderr (stdout stays byte-identical across thread counts).
-  std::FILE* announce = gThreads > 1 ? stderr : stdout;
   // Each artifact written by this attach gets a "<path>.manifest.json"
   // sidecar so downstream tools can validate provenance and schema.
   std::vector<std::pair<const char*, std::string>> artifacts;
@@ -488,21 +464,21 @@ void attachObsNumbered(iolib::SimStack& stack, int n) {
       std::fprintf(stderr, "error: --trace: %s\n", e.what());
       std::exit(2);
     }
-    std::fprintf(announce, "[obs] streaming Chrome trace to %s (+ %s)\n",
+    std::fprintf(stderr, "[obs] streaming Chrome trace to %s (+ %s)\n",
                  chrome.c_str(), jsonl.c_str());
     artifacts.emplace_back("trace", chrome);
   }
   if (!gMetricsPath.empty()) {
     const std::string json = numbered(gMetricsPath, n);
     stack.obs.exportOnDestroy(json, swapJsonForCsv(json));
-    std::fprintf(announce, "[obs] metrics will be written to %s and %s\n",
+    std::fprintf(stderr, "[obs] metrics will be written to %s and %s\n",
                  json.c_str(), swapJsonForCsv(json).c_str());
     artifacts.emplace_back("metrics", json);
   }
-  // The newer flags announce on stderr: figure stdout must stay
-  // byte-identical whether or not attribution/critpath/flightrec are on.
-  // Their sinks only write at finalize, so probe the path now — a typo
-  // must fail at startup with exit 2, the same contract as --trace.
+  // Every announce line goes to stderr: figure stdout must stay
+  // byte-identical whatever observability is on. The sinks below only
+  // write at finalize, so probe the path now — a typo must fail at startup
+  // with exit 2, the same contract as --trace.
   const auto requireWritable = [](const char* flag, const std::string& path) {
     std::ofstream f(path);
     if (!f) {
@@ -552,8 +528,8 @@ void attachObsNumbered(iolib::SimStack& stack, int n) {
   }
   for (const auto& [kind, path] : artifacts) writeManifest(path, kind, np, n);
   if (gFlightRecEvents > 0) {
-    // Fresh-stack runSim already creates one via SimStackOptions; cover
-    // harnesses that build their own SimStack and only call attachObs.
+    // runSims already creates one via SimStackOptions; cover harnesses
+    // that build their own SimStack and only call attachObs.
     if (!stack.flightRecorder) {
       stack.flightRecorder = obs::FlightRecorder::create(gFlightRecEvents);
       stack.obs.addSink(stack.flightRecorder);
@@ -618,33 +594,32 @@ std::string secs(double seconds) {
 
 namespace {
 
-/// The measured core shared by the serial path and the prefetch workers:
-/// run the checkpoint, hand back wall time and event count without touching
-/// the (order-sensitive) perf record.
+/// Run one checkpoint and hand back its wall time and event count without
+/// touching the (order-sensitive) perf record.
 iolib::CheckpointResult runMeasured(iolib::SimStack& stack, int np,
                                     const iolib::StrategyConfig& cfg,
                                     double& wallSeconds,
                                     std::uint64_t& events) {
   const auto spec = iolib::CheckpointSpec::nekcemWeakScaling(np);
-  const auto wall0 = std::chrono::steady_clock::now();
+  const WallTimer timer;
   const std::uint64_t events0 = stack.sched.eventsProcessed();
   auto result = iolib::runCheckpoint(stack, spec, cfg);
-  wallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
+  wallSeconds = timer.seconds();
   events = stack.sched.eventsProcessed() - events0;
   return result;
 }
 
+std::string pointLabel(int np, const iolib::StrategyConfig& cfg) {
+  return "np=" + std::to_string(np) + " " + cfg.describe();
+}
+
 /// perfRecord plus the strategy/result metadata of one simulated
-/// checkpoint. Both runSim paths (fresh run, prefetch-cache replay) land
-/// here, so the --perf-json record carries the same sim fields whatever
-/// the thread count.
-void perfRecordSim(const std::string& label, double wallSeconds,
-                   std::uint64_t events, int np,
+/// checkpoint, so the --perf-json record carries the sim fields that the
+/// campaign roll-up reads.
+void perfRecordSim(double wallSeconds, std::uint64_t events, int np,
                    const iolib::StrategyConfig& cfg,
                    const iolib::CheckpointResult& result) {
-  perfRecord(label, wallSeconds, events);
+  perfRecord(pointLabel(np, cfg), wallSeconds, events);
   if (gPerfJsonPath.empty() || gPerfEntries.empty()) return;
   SimMeta& sim = gPerfEntries.back().sim;
   sim.present = true;
@@ -658,65 +633,46 @@ void perfRecordSim(const std::string& label, double wallSeconds,
 
 }  // namespace
 
-void prefetchSims(const std::vector<SimPoint>& points) {
-  if (gThreads <= 1 || points.size() < 2) return;
+std::vector<iolib::CheckpointResult> runSims(
+    const std::vector<SimPoint>& points) {
   const bool obs = obsActive();
   const int base = gStacksAttached;
-  // Reserve artifact ordinals in point order up front; any later
-  // non-prefetched attach continues after them.
+  // Reserve artifact ordinals in point order up front; any later attach
+  // continues after them.
   if (obs) gStacksAttached = base + static_cast<int>(points.size());
-  struct Slot {
-    std::string key;
-    CachedRun run;
-  };
-  std::vector<Slot> slots(points.size());
   if (gRuntimeProf) {
     // Name the parallelFor jobs after their figure points, so the profile's
     // job table (and trace_report --runtime) says "np=65536 coIO nf=1"
     // instead of "job 7".
     std::vector<std::string> labels;
     labels.reserve(points.size());
-    for (const SimPoint& p : points)
-      labels.push_back("np=" + std::to_string(p.np) + " " + p.cfg.describe());
+    for (const SimPoint& p : points) labels.push_back(pointLabel(p.np, p.cfg));
     gRuntimeProf->setPointLabels(std::move(labels));
   }
+  struct Run {
+    iolib::CheckpointResult result;
+    double wallSeconds = 0.0;
+    std::uint64_t events = 0;
+  };
+  std::vector<Run> runs(points.size());
   sim::parallelFor(points.size(), gThreads, [&](std::size_t i) {
     const SimPoint& p = points[i];
-    iolib::SimStackOptions opt;
-    opt.seed = p.seed;
+    iolib::SimStackOptions opt = p.stack;
     opt.simcheck = gSimCheckMode;
     opt.flightRecorderEvents = gFlightRecEvents;
     iolib::SimStack stack(p.np, opt);
     if (obs) attachObsNumbered(stack, base + static_cast<int>(i) + 1);
-    Slot& slot = slots[i];
-    slot.key = pointKey(p.np, p.cfg, p.seed);
-    slot.run.label = "np=" + std::to_string(p.np) + " " + p.cfg.describe();
-    slot.run.result =
-        runMeasured(stack, p.np, p.cfg, slot.run.wallSeconds, slot.run.events);
+    Run& run = runs[i];
+    run.result = runMeasured(stack, p.np, p.cfg, run.wallSeconds, run.events);
   });
-  for (Slot& slot : slots)
-    gSimCache[slot.key].push_back(std::move(slot.run));
-}
-
-iolib::CheckpointResult runSim(int np, const iolib::StrategyConfig& cfg,
-                               std::uint64_t seed) {
-  const auto cached = gSimCache.find(pointKey(np, cfg, seed));
-  if (cached != gSimCache.end() && !cached->second.empty()) {
-    CachedRun run = std::move(cached->second.front());
-    cached->second.pop_front();
-    if (cached->second.empty()) gSimCache.erase(cached);
-    // Replayed at consumption time so the perf record keeps serial order.
-    perfRecordSim(run.label, run.wallSeconds, run.events, np, cfg,
-                  run.result);
-    return run.result;
+  std::vector<iolib::CheckpointResult> results;
+  results.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    perfRecordSim(runs[i].wallSeconds, runs[i].events, points[i].np,
+                  points[i].cfg, runs[i].result);
+    results.push_back(std::move(runs[i].result));
   }
-  iolib::SimStackOptions opt;
-  opt.seed = seed;
-  opt.simcheck = gSimCheckMode;
-  opt.flightRecorderEvents = gFlightRecEvents;
-  iolib::SimStack stack(np, opt);
-  attachObs(stack);
-  return runSim(stack, np, cfg);
+  return results;
 }
 
 iolib::CheckpointResult runSim(iolib::SimStack& stack, int np,
@@ -724,8 +680,7 @@ iolib::CheckpointResult runSim(iolib::SimStack& stack, int np,
   double wall = 0.0;
   std::uint64_t events = 0;
   auto result = runMeasured(stack, np, cfg, wall, events);
-  perfRecordSim("np=" + std::to_string(np) + " " + cfg.describe(), wall,
-                events, np, cfg, result);
+  perfRecordSim(wall, events, np, cfg, result);
   return result;
 }
 
@@ -738,6 +693,24 @@ std::vector<Approach> paperApproaches(int np) {
       {"rbIO, 64:1, nf=1", StrategyConfig::rbIo(64, false)},
       {"rbIO, 64:1, nf=ng", StrategyConfig::rbIo(64, true)},
   };
+}
+
+std::vector<ScaleRuns> runPaperGrid(const std::vector<int>& scales) {
+  std::vector<SimPoint> points;
+  std::vector<ScaleRuns> grid;
+  for (int np : scales) {
+    ScaleRuns& row = grid.emplace_back();
+    row.np = np;
+    for (auto& a : paperApproaches(np)) {
+      points.push_back({np, a.cfg, {}});
+      row.runs.push_back({std::move(a.name), {}});
+    }
+  }
+  auto results = runSims(points);
+  std::size_t k = 0;
+  for (ScaleRuns& row : grid)
+    for (ApproachRun& run : row.runs) run.result = std::move(results[k++]);
+  return grid;
 }
 
 }  // namespace bgckpt::bench

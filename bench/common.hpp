@@ -47,10 +47,10 @@ std::string secs(double seconds);
 ///                      processed, events/sec) plus totals. Feed two of
 ///                      these to tools/perf_compare to gate regressions.
 ///   --simcheck[=MODE]  enable the runtime invariant checker on every
-///                      fresh-stack runSim (MODE: on [default], warn, off;
-///                      see simcore/simcheck.hpp). Harnesses that build
-///                      their own SimStack honour the SIM_CHECK environment
-///                      variable instead.
+///                      runSims point (MODE: on [default], warn, off; see
+///                      simcore/simcheck.hpp). Harnesses that build their
+///                      own SimStack pass simCheckMode() or honour the
+///                      SIM_CHECK environment variable.
 ///   --attr <file>      export per-rank blocked-time attribution there as
 ///                      JSON, plus a CSV twin (obs/attr.hpp). Announce
 ///                      lines go to stderr, so figure stdout is unchanged.
@@ -94,29 +94,26 @@ std::string secs(double seconds);
 ///                      from artifact identity comparisons. Figure stdout
 ///                      stays byte-identical with profiling on (announce
 ///                      lines go to stderr).
-///   --threads=N        simulate the harness's independent points on N
+///   --threads=N        simulate the points a harness hands to runSims on N
 ///                      worker threads (default 1 = the serial reference;
-///                      `--threads N` also works). N must be an integer
-///                      >= 1; anything else exits 2.
-///                      Results, stdout, and every perf/obs artifact are
-///                      byte-identical to the serial run: points are
-///                      prefetched into a cache and consumed in program
-///                      order (see prefetchSims). The only difference is
-///                      that the --trace/--metrics announce lines move to
-///                      stderr so concurrent workers cannot interleave
-///                      stdout.
+///                      `--threads N` also works). Results, stdout, and
+///                      every perf/obs artifact are byte-identical to the
+///                      serial run (see runSims).
 /// Every file-producing flag also writes a `<file>.manifest.json` sidecar
 /// (schema version, bench name, np, flag set) that tools/trace_report
-/// validates before parsing. Unknown arguments are ignored so harnesses
-/// stay forward-compatible.
+/// validates before parsing. Every announce line goes to stderr, so figure
+/// stdout depends on neither the flags nor the thread count. A malformed
+/// flag value (`--threads=0`, `--simcheck=bogus`, `--flightrec=abc`, ...)
+/// prints `error: --flag: ...` and exits 2. Unknown arguments are ignored
+/// so harnesses stay forward-compatible.
 void obsInit(int argc, char** argv);
 
-/// The worker-thread count requested with --threads (>= 1).
-unsigned benchThreads();
-
-/// True when --runtime-profile was requested (the profiler is installed as
-/// the process-wide sim::RuntimeObserver for the rest of the run).
-bool runtimeProfileActive();
+/// Value of a harness-specific integer flag given as `NAME N` or `NAME=N`;
+/// `fallback` when the flag is absent. The value must be plain decimal
+/// digits spelling an integer >= 1 (the same rule as --threads); anything
+/// else, including a trailing NAME with no value, prints
+/// `error: NAME: ...` and exits 2.
+int intFlag(int argc, char** argv, const char* name, int fallback);
 
 /// Wall-clock stopwatch for benchmark harnesses. Lives in bench/common on
 /// purpose: srclint's wall-clock rule bans host clocks everywhere else in
@@ -139,12 +136,11 @@ class WallTimer {
 };
 
 /// Record one simulated run in the --perf-json report (no-op without the
-/// flag). The runSim overloads call this automatically; harnesses that
-/// drive runCheckpoint/runCampaign themselves can call it directly. The
-/// record carries the --threads value; pass `threads` explicitly to tag a
-/// run that managed its own parallelism (e.g. micro_queue's sharded cases).
+/// flag). runSims and runSim call this automatically; harnesses that drive
+/// runCheckpoint/runCampaign themselves can call it directly. The record
+/// carries the --threads value.
 void perfRecord(const std::string& label, double wallSeconds,
-                std::uint64_t events, unsigned threads = 0);
+                std::uint64_t events);
 
 /// Write the --perf-json report, if requested. Returns false (and prints
 /// to stderr) if the file could not be written. Called by reportChecks.
@@ -153,41 +149,36 @@ bool perfFlush();
 /// The --simcheck mode requested on the command line (kAuto when absent).
 sim::SimCheckMode simCheckMode();
 
-/// Attach the requested trace/metrics sinks to a stack. Called by the
-/// fresh-stack runSim overload; harnesses that build their own SimStack
-/// (e.g. fig12) call it once per stack. Each attach after the first gets a
-/// numbered path suffix (".2", ".3", ...) so multi-stack harnesses emit one
-/// trace per stack. No-op when neither flag was given.
+/// Attach the requested observability sinks to a stack. runSims does this
+/// for every point; harnesses that build their own SimStack (e.g. fig12)
+/// call it once per stack. Each attach after the first gets a numbered path
+/// suffix (".2", ".3", ...) so multi-stack harnesses emit one trace per
+/// stack. No-op when no observability flag was given.
 void attachObs(iolib::SimStack& stack);
 
-/// One independent simulation point: what the fresh-stack runSim overload
-/// takes. Harnesses that loop over scales and approaches list their points
-/// up front (in the exact order runSim will consume them) and hand them to
-/// prefetchSims.
+/// One independent simulation point: one checkpoint of `cfg` on a fresh
+/// np-rank Intrepid stack built from `stack` (paper noise conditions and
+/// seed 2011 by default). runSims overrides `stack.simcheck` and
+/// `stack.flightRecorderEvents` from --simcheck/--flightrec.
 struct SimPoint {
   int np = 0;
   iolib::StrategyConfig cfg;
-  std::uint64_t seed = 2011;
+  iolib::SimStackOptions stack;
 };
 
-/// Simulate every point ahead of time on benchThreads() workers and cache
-/// the results (checkpoint result, wall time, event count, pre-assigned obs
-/// artifact numbers). A later fresh-stack runSim with matching (np, config,
-/// seed) consumes its cache entry in FIFO order — so a harness that
-/// prefetches its whole point list in call order produces byte-identical
-/// stdout and perf/obs artifacts whatever the thread count. Each simulated
-/// point is itself a single-threaded discrete-event run (the points are
-/// independent; determinism is per point by construction). No-op when
-/// --threads <= 1: the serial path stays exactly the reference.
-void prefetchSims(const std::vector<SimPoint>& points);
+/// Simulate every point on the --threads workers through sim::parallelFor
+/// (inline and in order at --threads=1) and return the results in point
+/// order. Each point is an isolated single-threaded discrete-event run, so
+/// its result does not depend on the thread count. Obs artifact ordinals
+/// are reserved in point order before the fan-out, and the --perf-json
+/// records are appended in point order afterwards, so stdout and every
+/// perf/obs artifact are byte-identical whatever the thread count. With
+/// --runtime-profile the parallelFor jobs are labelled "np=N <config>".
+std::vector<iolib::CheckpointResult> runSims(
+    const std::vector<SimPoint>& points);
 
-/// Run one simulated checkpoint on a fresh Intrepid stack (paper noise
-/// conditions, fixed seed) and return the result. Consumes a prefetched
-/// cache entry when one matches (see prefetchSims).
-iolib::CheckpointResult runSim(int np, const iolib::StrategyConfig& cfg,
-                               std::uint64_t seed = 2011);
-
-/// Same, but also hand back the stack (for profile/fs inspection).
+/// Run one checkpoint on a stack the harness built and still reads after
+/// the run (fs counters, attached sinks), recording it like runSims does.
 iolib::CheckpointResult runSim(iolib::SimStack& stack, int np,
                                const iolib::StrategyConfig& cfg);
 
@@ -197,5 +188,18 @@ struct Approach {
   iolib::StrategyConfig cfg;
 };
 std::vector<Approach> paperApproaches(int np);
+
+/// The Figs. 5-7 grid: every paperApproaches(np) point at each scale,
+/// simulated with one runSims call. One entry per scale, in `scales` order;
+/// each holds (approach name, result) pairs in legend order.
+struct ApproachRun {
+  std::string name;
+  iolib::CheckpointResult result;
+};
+struct ScaleRuns {
+  int np = 0;
+  std::vector<ApproachRun> runs;
+};
+std::vector<ScaleRuns> runPaperGrid(const std::vector<int>& scales);
 
 }  // namespace bgckpt::bench

@@ -25,10 +25,18 @@ int main(int argc, char** argv) {
   // Our measured inputs at each scale.
   nekcem::PerfModel perf;
   const double tComp = perf.weakScalingStepSeconds();
+  const std::vector<int> scales = {16384, 32768, 65536};
+  std::vector<SimPoint> points;
+  for (int np : scales) {
+    points.push_back({np, iolib::StrategyConfig::onePfpp(), {}});
+    points.push_back({np, iolib::StrategyConfig::rbIo(64, true), {}});
+  }
+  const auto results = runSims(points);
   std::vector<Check> checks;
-  for (int np : {16384, 32768, 65536}) {
-    const auto pfpp = runSim(np, iolib::StrategyConfig::onePfpp());
-    const auto rbio = runSim(np, iolib::StrategyConfig::rbIo(64, true));
+  for (std::size_t s = 0; s < scales.size(); ++s) {
+    const int np = scales[s];
+    const auto& pfpp = results[2 * s];
+    const auto& rbio = results[2 * s + 1];
     const double ratioPfpp = pfpp.makespan / tComp;
     const double ratioRbio = rbio.writerMakespan / tComp;
     std::printf("np=%6d: Ratio_1pfpp=%7.0f  Ratio_rbIO=%5.1f  ", np,
@@ -38,7 +46,6 @@ int main(int argc, char** argv) {
                   analysis::productionImprovement(ratioPfpp, ratioRbio, nc));
     }
     std::printf("\n");
-    std::fflush(stdout);
     const double imp =
         analysis::productionImprovement(ratioPfpp, ratioRbio, 20);
     // The paper's "approximately 25x" follows from Ratio_1pfpp ~ 1000; our

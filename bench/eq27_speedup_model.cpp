@@ -15,8 +15,11 @@ int main(int argc, char** argv) {
          "Speedup ~ (np/ng) * BW_rbIO/BW_coIO as lambda -> 0.");
 
   constexpr int kNp = 65536;
-  const auto co = runSim(kNp, iolib::StrategyConfig::coIo(kNp / 64));
-  const auto rb = runSim(kNp, iolib::StrategyConfig::rbIo(64, true));
+  const auto results =
+      runSims({{kNp, iolib::StrategyConfig::coIo(kNp / 64), {}},
+               {kNp, iolib::StrategyConfig::rbIo(64, true), {}}});
+  const auto& co = results[0];
+  const auto& rb = results[1];
 
   analysis::SpeedupParams p;
   p.np = kNp;

@@ -12,9 +12,8 @@
 //   measured speedup  =  blocked_coIO / blocked_rbIO   (from attribution)
 //   model   speedup   =  Eq. (2) exact, and its Eq. (7) limit
 //                        (np/ng) * BW_rbIO/BW_coIO     (from bandwidths)
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 
 #include "analysis/models.hpp"
@@ -65,13 +64,7 @@ void printPhaseTable(const char* label,
 
 int main(int argc, char** argv) {
   bgckpt::bench::obsInit(argc, argv);
-  int np = 4096;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--np") == 0 && i + 1 < argc)
-      np = std::atoi(argv[++i]);
-    else if (std::strncmp(argv[i], "--np=", 5) == 0)
-      np = std::atoi(argv[i] + 5);
-  }
+  const int np = intFlag(argc, argv, "--np", 4096);
   if (np < 128 || np % 64 != 0) {
     std::fprintf(stderr, "error: --np must be a multiple of 64, >= 128\n");
     return 2;

@@ -35,17 +35,21 @@ int main(int argc, char** argv) {
       {"rbIO 64:1 nf=ng", iolib::StrategyConfig::rbIo(64, true)},
       {"rbIO 128:1 nf=ng", iolib::StrategyConfig::rbIo(128, true)},
   };
-  for (auto& row : rows) {
-    const auto r = runSim(kNp, row.cfg);
-    row.bandwidth = r.bandwidth;
-    row.makespan = r.makespan;
-    std::printf("  %-18s %8s  (makespan %s)\n", row.name,
-                gbs(r.bandwidth).c_str(), secs(r.makespan).c_str());
-    std::fflush(stdout);
-  }
+  std::vector<SimPoint> points;
+  for (const auto& row : rows) points.push_back({kNp, row.cfg, {}});
   // The 64K reference points for trend checks.
-  const auto rb64k = runSim(65536, iolib::StrategyConfig::rbIo(64, true));
-  const auto co64k = runSim(65536, iolib::StrategyConfig::coIo(65536 / 64));
+  points.push_back({65536, iolib::StrategyConfig::rbIo(64, true), {}});
+  points.push_back({65536, iolib::StrategyConfig::coIo(65536 / 64), {}});
+  const auto results = runSims(points);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    auto& row = rows[i];
+    row.bandwidth = results[i].bandwidth;
+    row.makespan = results[i].makespan;
+    std::printf("  %-18s %8s  (makespan %s)\n", row.name,
+                gbs(row.bandwidth).c_str(), secs(row.makespan).c_str());
+  }
+  const auto& rb64k = results[rows.size()];
+  const auto& co64k = results[rows.size() + 1];
 
   std::vector<Check> checks;
   checks.push_back(

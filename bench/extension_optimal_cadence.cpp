@@ -40,8 +40,12 @@ int main(int argc, char** argv) {
   };
   std::printf("\n  %-16s | %9s | %14s | %12s\n", "strategy", "Tc",
               "opt. interval", "efficiency");
-  for (auto& row : rows) {
-    const auto r = runSim(kNp, row.cfg);
+  std::vector<SimPoint> points;
+  for (const auto& row : rows) points.push_back({kNp, row.cfg, {}});
+  const auto results = runSims(points);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    auto& row = rows[i];
+    const auto& r = results[i];
     // For rbIO the application-blocking cost is the writers' drain only
     // when cadence outpaces them; at the Daly optimum (minutes apart) the
     // writers always keep up, so Tc is the worker-side cost plus the
@@ -53,7 +57,6 @@ int main(int argc, char** argv) {
     row.eff = analysis::efficiency(row.interval, row.tc, restart, mtbf);
     std::printf("  %-16s | %7.1f s | %10.0f s | %10.1f%%\n", row.name,
                 row.tc, row.interval, 100 * row.eff);
-    std::fflush(stdout);
   }
 
   const double gained = 100 * (rows[2].eff - rows[0].eff);

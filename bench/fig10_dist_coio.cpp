@@ -27,9 +27,8 @@ int main(int argc, char** argv) {
   opt.noise.slowProbability = 0.02;      // busier-than-usual afternoon
   opt.noise.severeProbability = 6e-5;    // a couple of severe stalls
   opt.noise.severeFactorMedian = 400.0;  // RAID-rebuild-class episodes
-  iolib::SimStack stack(kNp, opt);
-  bgckpt::bench::attachObs(stack);
-  const auto r = runSim(stack, kNp, iolib::StrategyConfig::coIo(kNp / 64));
+  const auto r =
+      runSims({{kNp, iolib::StrategyConfig::coIo(kNp / 64), opt}})[0];
 
   sim::Sample sample;
   std::vector<double> xs, ys;

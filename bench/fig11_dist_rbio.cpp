@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
          "Upper line: writers; lower line: workers.");
 
   constexpr int kNp = 65536;
-  const auto r = runSim(kNp, iolib::StrategyConfig::rbIo(64, true));
+  const auto r =
+      runSims({{kNp, iolib::StrategyConfig::rbIo(64, true), {}}})[0];
 
   sim::Sample writers, workers;
   std::vector<double> xs, ys;

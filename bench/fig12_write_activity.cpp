@@ -4,8 +4,10 @@
 // writers stream continuously; coIO's field-synchronised rounds leave lock
 // and synchronisation gaps.
 #include <cstdio>
+#include <memory>
 
 #include "common.hpp"
+#include "profiling/profile.hpp"
 #include "profiling/report.hpp"
 
 using namespace bgckpt;
@@ -17,29 +19,32 @@ int main(int argc, char** argv) {
          "32,768 processors; column shade = processes in a write call.");
 
   constexpr int kNp = 32768;
+  // Declared before the stacks: each profile must outlive its sink.
+  prof::IoProfile rbProfile;
+  prof::IoProfile coProfile;
   iolib::SimStack rbStack(kNp);
   bench::attachObs(rbStack);
+  rbStack.obs.addSink(std::make_shared<prof::IoProfileSink>(rbProfile));
   const auto rb = runSim(rbStack, kNp, iolib::StrategyConfig::rbIo(64, true));
   iolib::SimStack coStack(kNp);
   bench::attachObs(coStack);
+  coStack.obs.addSink(std::make_shared<prof::IoProfileSink>(coProfile));
   const auto co = runSim(coStack, kNp, iolib::StrategyConfig::coIo(kNp / 64));
 
   const double horizon = std::max(rb.makespan, co.makespan);
   const int bins = 64;
   const double binW = horizon / bins;
-  auto rbLine =
-      rbStack.profile.activityTimeline(prof::Op::kWrite, binW, horizon);
-  auto coLine =
-      coStack.profile.activityTimeline(prof::Op::kWrite, binW, horizon);
+  auto rbLine = rbProfile.activityTimeline(prof::Op::kWrite, binW, horizon);
+  auto coLine = coProfile.activityTimeline(prof::Op::kWrite, binW, horizon);
 
   std::printf("rbIO nf=ng : makespan %s, %llu write calls\n",
               secs(rb.makespan).c_str(),
               static_cast<unsigned long long>(
-                  rbStack.profile.opCount(prof::Op::kWrite)));
+                  rbProfile.opCount(prof::Op::kWrite)));
   std::printf("coIO 64:1  : makespan %s, %llu write calls\n",
               secs(co.makespan).c_str(),
               static_cast<unsigned long long>(
-                  coStack.profile.opCount(prof::Op::kWrite)));
+                  coProfile.opCount(prof::Op::kWrite)));
   std::printf("%s", analysis::activityStrip({"rbIO nf=ng", "coIO 64:1 "},
                                             {rbLine, coLine}, binW)
                         .c_str());
@@ -60,7 +65,7 @@ int main(int argc, char** argv) {
   };
   // The Darshan-style op summary for the rbIO run (what the paper's log
   // analysis looked at).
-  std::printf("\n%s", prof::renderOpTable(rbStack.profile).c_str());
+  std::printf("\n%s", prof::renderOpTable(rbProfile).c_str());
 
   const auto [rbUtil, rbConc] = stats(rbLine, rb.makespan);
   const auto [coUtil, coConc] = stats(coLine, co.makespan);

@@ -3,8 +3,6 @@
 // Problem sizes (np, n, S) = (16K, 275M, ~39GB), (32K, 550M, ~78GB),
 // (64K, 1.1B, ~157GB).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 
 #include "common.hpp"
@@ -17,13 +15,7 @@ int main(int argc, char** argv) {
   // --max-np N: smoke mode for slow (sanitizer) builds — run only the
   // scales up to N. Shape checks need all three scales, so they are
   // skipped; the run still exercises every approach end-to-end.
-  int maxNp = 65536;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--max-np") == 0 && i + 1 < argc)
-      maxNp = std::atoi(argv[i + 1]);
-    else if (std::strncmp(argv[i], "--max-np=", 9) == 0)
-      maxNp = std::atoi(argv[i] + 9);
-  }
+  const int maxNp = intFlag(argc, argv, "--max-np", 65536);
   banner("Figure 5 - write performance with NekCEM on Intrepid GPFS",
          "Bandwidth = total data / wall time of the slowest processor.");
 
@@ -44,27 +36,18 @@ int main(int argc, char** argv) {
       {"rbIO, 64:1, nf=ng", {9.0, 13.0, 16.0}},
   };
 
-  // With --threads > 1 every (np, approach) point simulates in parallel up
-  // front; the loop below consumes the cache in this exact order.
-  std::vector<SimPoint> points;
-  for (int np : scales)
-    for (const auto& a : paperApproaches(np)) points.push_back({np, a.cfg});
-  prefetchSims(points);
-
   std::map<std::string, std::map<int, double>> bw;  // name -> np -> GB/s
-  for (int np : scales) {
+  for (const auto& [np, runs] : runPaperGrid(scales)) {
     std::printf("\n-- np = %d --\n", np);
     std::vector<analysis::Bar> bars;
-    for (const auto& a : paperApproaches(np)) {
-      const auto r = runSim(np, a.cfg);
-      bw[a.name][np] = r.bandwidth;
-      bars.push_back({a.name, r.bandwidth / 1e9});
+    for (const auto& [name, r] : runs) {
+      bw[name][np] = r.bandwidth;
+      bars.push_back({name, r.bandwidth / 1e9});
       std::printf("  %-20s  measured %-12s  paper ~%5.2f GB/s  (makespan %s)\n",
-                  a.name.c_str(), gbs(r.bandwidth).c_str(),
-                  paperGbs.at(a.name)[static_cast<std::size_t>(
+                  name.c_str(), gbs(r.bandwidth).c_str(),
+                  paperGbs.at(name)[static_cast<std::size_t>(
                       np == 16384 ? 0 : (np == 32768 ? 1 : 2))],
                   secs(r.makespan).c_str());
-      std::fflush(stdout);
     }
     std::printf("%s", analysis::barChart(bars, "GB/s").c_str());
   }

@@ -14,22 +14,14 @@ int main(int argc, char** argv) {
          "Seconds per coordinated checkpoint; log-scaled bars. The paper's "
          "headline: ~100x reduction vs 1PFPP.");
 
-  const std::vector<int> scales = {16384, 32768, 65536};
-  std::vector<SimPoint> points;
-  for (int np : scales)
-    for (const auto& a : paperApproaches(np)) points.push_back({np, a.cfg});
-  prefetchSims(points);
-
   std::map<std::string, std::map<int, double>> t;
-  for (int np : scales) {
+  for (const auto& [np, runs] : runPaperGrid({16384, 32768, 65536})) {
     std::printf("\n-- np = %d --\n", np);
     std::vector<analysis::Bar> bars;
-    for (const auto& a : paperApproaches(np)) {
-      const auto r = runSim(np, a.cfg);
-      t[a.name][np] = r.makespan;
-      bars.push_back({a.name, r.makespan});
-      std::printf("  %-20s %10.2f s\n", a.name.c_str(), r.makespan);
-      std::fflush(stdout);
+    for (const auto& [name, r] : runs) {
+      t[name][np] = r.makespan;
+      bars.push_back({name, r.makespan});
+      std::printf("  %-20s %10.2f s\n", name.c_str(), r.makespan);
     }
     std::printf("%s", analysis::barChart(bars, "s", 52, /*logScale=*/true).c_str());
   }

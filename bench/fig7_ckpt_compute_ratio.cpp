@@ -24,24 +24,17 @@ int main(int argc, char** argv) {
               tComp);
 
   const std::vector<int> scales = {16384, 32768, 65536};
-  std::vector<SimPoint> points;
-  for (int np : scales)
-    for (const auto& a : paperApproaches(np)) points.push_back({np, a.cfg});
-  prefetchSims(points);
-
   std::map<std::string, std::map<int, double>> ratio;
-  for (int np : scales) {
+  for (const auto& [np, runs] : runPaperGrid(scales)) {
     std::printf("\n-- np = %d --\n", np);
     std::vector<analysis::Bar> bars;
-    for (const auto& a : paperApproaches(np)) {
-      const auto r = runSim(np, a.cfg);
-      const bool rbio = a.name.find("rbIO") != std::string::npos;
+    for (const auto& [name, r] : runs) {
+      const bool rbio = name.find("rbIO") != std::string::npos;
       const double tc = rbio ? r.writerMakespan : r.makespan;
-      ratio[a.name][np] = tc / tComp;
-      bars.push_back({a.name, tc / tComp});
-      std::printf("  %-20s Tc=%9.2f s  ratio %10.1f\n", a.name.c_str(), tc,
+      ratio[name][np] = tc / tComp;
+      bars.push_back({name, tc / tComp});
+      std::printf("  %-20s Tc=%9.2f s  ratio %10.1f\n", name.c_str(), tc,
                   tc / tComp);
-      std::fflush(stdout);
     }
     std::printf("%s", analysis::barChart(bars, "x", 52, /*logScale=*/true).c_str());
   }

@@ -22,24 +22,24 @@ int main(int argc, char** argv) {
   for (int np : scales)
     for (int nf : files)
       if (np / nf >= 2)
-        points.push_back({np, iolib::StrategyConfig::rbIo(np / nf, true)});
-  prefetchSims(points);
+        points.push_back({np, iolib::StrategyConfig::rbIo(np / nf, true), {}});
+  const auto results = runSims(points);
 
   std::map<int, std::map<int, double>> bw;  // np -> nf -> GB/s
 
+  std::size_t k = 0;
   for (int np : scales) {
     std::printf("\n-- np = %d --\n", np);
     std::vector<analysis::Bar> bars;
-    for (int nf : files) {
-      const int groupSize = np / nf;
-      if (groupSize < 2) continue;
-      const auto r = runSim(np, iolib::StrategyConfig::rbIo(groupSize, true));
+    for (; k < points.size() && points[k].np == np; ++k) {
+      const int groupSize = points[k].cfg.groupSize;
+      const int nf = np / groupSize;
+      const auto& r = results[k];
       bw[np][nf] = r.bandwidth;
       bars.push_back({"nf=" + std::to_string(nf), r.bandwidth / 1e9});
       std::printf("  nf=%5d (np:ng=%3d:1)  %-12s  makespan %s\n", nf,
                   groupSize, gbs(r.bandwidth).c_str(),
                   secs(r.makespan).c_str());
-      std::fflush(stdout);
     }
     std::printf("%s", analysis::barChart(bars, "GB/s").c_str());
   }

@@ -3,8 +3,10 @@
 // directory serialises ranks: some finish within seconds, others take more
 // than 300 seconds.
 #include <cstdio>
+#include <memory>
 
 #include "common.hpp"
+#include "profiling/profile.hpp"
 #include "simcore/stats.hpp"
 
 using namespace bgckpt;
@@ -16,9 +18,10 @@ int main(int argc, char** argv) {
          "Each point is one rank's wall-clock I/O time for one checkpoint.");
 
   constexpr int kNp = 16384;
-  iolib::SimStackOptions opt;
-  iolib::SimStack stack(kNp, opt);
+  prof::IoProfile profile;  // outlives the stack's sink
+  iolib::SimStack stack(kNp);
   bgckpt::bench::attachObs(stack);
+  stack.obs.addSink(std::make_shared<prof::IoProfileSink>(profile));
   const auto r = runSim(stack, kNp, iolib::StrategyConfig::onePfpp());
 
   sim::Sample sample;
@@ -55,9 +58,9 @@ int main(int argc, char** argv) {
                     secs(sample.max()) + " vs median " +
                         secs(sample.median())});
   checks.push_back({"metadata creates dominate: mean create time > 1 s",
-                    stack.profile.opCount(prof::Op::kCreate) ==
+                    profile.opCount(prof::Op::kCreate) ==
                             static_cast<std::uint64_t>(kNp) &&
-                        stack.profile.perRankBusy(kNp)[100] > 1.0,
+                        profile.perRankBusy(kNp)[100] > 1.0,
                     "16384 creates issued"});
   return reportChecks(checks);
 }

@@ -11,7 +11,6 @@
 // production campaign and are skipped, but every strategy row still lands
 // in the --perf-json report so `tools/sweep` can ledger the point.
 #include <cstdio>
-#include <cstring>
 
 #include "common.hpp"
 #include "iolib/campaign.hpp"
@@ -19,21 +18,6 @@
 
 using namespace bgckpt;
 using namespace bgckpt::bench;
-
-namespace {
-
-int intFlag(int argc, char** argv, const char* name, int fallback) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc)
-      return std::atoi(argv[i + 1]);
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      return std::atoi(argv[i] + len + 1);
-  }
-  return fallback;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bgckpt::bench::obsInit(argc, argv);

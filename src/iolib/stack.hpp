@@ -18,7 +18,6 @@
 #include "netsim/torus.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/obs.hpp"
-#include "profiling/profile.hpp"
 #include "simcore/scheduler.hpp"
 #include "simcore/simcheck.hpp"
 #include "storsim/fabric.hpp"
@@ -59,8 +58,8 @@ class SimStack {
   std::unique_ptr<sim::SimChecker> checker;
   machine::Machine mach;
   /// Observability hub for the whole stack. Every layer below reports into
-  /// it; `profile` is fed from its kIo event stream via prof::IoProfileSink.
-  /// Benches attach extra sinks (Chrome trace, JSONL) with obs.addSink().
+  /// it; callers attach sinks (Chrome trace, JSONL, prof::IoProfileSink for
+  /// a per-op profile) with obs.addSink().
   /// Declared before the layers (they hold a pointer) and after sched (its
   /// destructor reads the scheduler clock for end-of-run exports).
   obs::Observability obs;
@@ -70,7 +69,6 @@ class SimStack {
   stor::StorageFabric fabric;
   fs::ParallelFsSim fsys;
   mpi::Runtime rt;
-  prof::IoProfile profile;
   /// Present iff SimStackOptions::flightRecorderEvents > 0 (also reachable
   /// through the global obs::dumpFlightRecorders registry).
   std::shared_ptr<obs::FlightRecorder> flightRecorder;

@@ -10,7 +10,7 @@ namespace bgckpt::obs {
 
 namespace {
 
-// Registration happens from bench prefetch workers concurrently; the lock
+// Registration happens from bench runSims workers concurrently; the lock
 // covers every registry access (each recorder itself stays single-stack).
 std::mutex& registryMu() {
   static std::mutex mu;

@@ -91,11 +91,14 @@ std::string MetricsRegistry::toJson() const {
     first = false;
   }
   // Pairs: the full matrix can be O(ranks); keep JSON readable with the
-  // top pairs by bytes and an exact total count.
+  // top pairs by bytes and an exact total count. Equal-byte pairs are
+  // ordered by (src, dst) key, so the output never depends on hash order.
   std::vector<std::pair<std::uint64_t, PairStats>> byBytes(pairs_.begin(),
                                                            pairs_.end());
   std::sort(byBytes.begin(), byBytes.end(), [](const auto& a, const auto& b) {
-    return a.second.bytes > b.second.bytes;
+    if (a.second.bytes != b.second.bytes)
+      return a.second.bytes > b.second.bytes;
+    return a.first < b.first;
   });
   constexpr std::size_t kTopPairs = 64;
   appendf(out, "\n  },\n  \"mpiPairsTotal\": %zu,\n  \"mpiTopPairs\": [",

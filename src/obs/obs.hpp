@@ -7,9 +7,10 @@
 // MPI runtime, checkpoint strategies) takes an optional `Observability*`
 // and is exactly as fast as before when handed nullptr.
 //
-// iolib::SimStack always attaches prof::IoProfileSink (profiling/profile.hpp)
-// so the legacy IoProfile keeps filling from the same event stream; a
-// ChromeTraceSink is attached only when the user asks for a trace file.
+// iolib::SimStack attaches no sink of its own: with none attached every
+// emission site is one failed bit test. Callers attach what they read —
+// prof::IoProfileSink (profiling/profile.hpp) for a per-op profile, a
+// ChromeTraceSink when the user asks for a trace file.
 #pragma once
 
 #include <memory>

@@ -11,7 +11,7 @@
 //
 // Deliberately process-global rather than hung off the per-stack
 // Observability hub: real time cuts across stacks (one worker thread
-// interleaves many simulations under prefetchSims), so there is exactly
+// runs many simulations under bench::runSims), so there is exactly
 // one profiler per process, installed with install() and exported with
 // writeJson(). bench/common wires it to --runtime-profile[=FILE].
 //
@@ -48,8 +48,9 @@ struct ParallelRegionProfile {
 };
 
 /// A labelled measurement fed from bench perfRecord (one per figure
-/// point), so serial runs — which never enter parallelFor — still produce
-/// a per-point wall table for trace_report --runtime --diff.
+/// point), so runs that never enter parallelFor (harness-built stacks,
+/// campaigns) still produce a per-point wall table for trace_report
+/// --runtime --diff.
 struct PointRecord {
   std::string label;
   double wallSeconds = 0.0;
@@ -78,8 +79,8 @@ class RuntimeProfiler final : public sim::RuntimeObserver {
   void uninstall();
 
   /// Labels for the jobs of the *next* parallelFor region (job i gets
-  /// labels[i]) — bench/common calls this right before prefetchSims fans
-  /// out, so the region's job table names figure points, not indices.
+  /// labels[i]) — bench::runSims calls this right before it fans out, so
+  /// the region's job table names figure points, not indices.
   void setPointLabels(std::vector<std::string> labels);
 
   /// Record one figure point (called from bench perfRecord).

@@ -1,8 +1,9 @@
 // Darshan-style I/O profiling.
 //
-// Strategies record per-rank operation intervals here; the figure benches
-// post-process them into the paper's plots: per-rank I/O-time scatters
-// (Figs. 9-11) and write-activity timelines (Fig. 12).
+// IoProfileSink collects the per-rank operation intervals strategies emit
+// on the kIo layer; the figure benches post-process them into the paper's
+// plots: per-rank I/O-time scatters (Fig. 9) and write-activity timelines
+// (Fig. 12).
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "simcore/scheduler.hpp"
 #include "simcore/units.hpp"
 
 namespace bgckpt::prof {
@@ -73,45 +73,6 @@ class IoProfile {
 
  private:
   std::vector<OpRecord> records_;
-};
-
-/// RAII timer: records one op from construction to stop(), or — if stop()
-/// is never reached (exception, early co_return) — at destruction, so the
-/// record is never silently dropped. Construct with the scheduler to give
-/// the destructor a clock; with a plain start time the fallback record is
-/// zero-width (end == start).
-class ScopedOp {
- public:
-  ScopedOp(IoProfile& profile, int rank, Op op, sim::SimTime now)
-      : profile_(profile), rank_(rank), op_(op), start_(now) {}
-  ScopedOp(IoProfile& profile, int rank, Op op, const sim::Scheduler& sched)
-      : profile_(profile),
-        rank_(rank),
-        op_(op),
-        start_(sched.now()),
-        sched_(&sched) {}
-  ScopedOp(const ScopedOp&) = delete;
-  ScopedOp& operator=(const ScopedOp&) = delete;
-
-  ~ScopedOp() {
-    if (!stopped_)
-      profile_.record(rank_, op_, start_,
-                      sched_ ? sched_->now() : start_);
-  }
-
-  void stop(sim::SimTime now, sim::Bytes bytes = 0) {
-    if (stopped_) return;
-    stopped_ = true;
-    profile_.record(rank_, op_, start_, now, bytes);
-  }
-
- private:
-  IoProfile& profile_;
-  int rank_;
-  Op op_;
-  sim::SimTime start_;
-  const sim::Scheduler* sched_ = nullptr;
-  bool stopped_ = false;
 };
 
 /// Trace sink that replays the kIo event stream into an IoProfile, so the

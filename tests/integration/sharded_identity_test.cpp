@@ -1,10 +1,10 @@
 // Byte-identity gate for point-level parallelism: the figure benches must
 // produce the SAME bytes — stdout and every --telemetry/--attr export —
-// whether the simulation points run serially or prefetched on 8 threads
-// by sim::parallelFor. This is the determinism contract of
-// bench/common.cpp's prefetch cache (each point an isolated simulation,
-// FIFO consumption in program order, pre-assigned artifact ordinals,
-// replayed perf records).
+// whether their simulation points run serially or on 8 threads of
+// sim::parallelFor. This is the determinism contract of bench::runSims
+// (each point an isolated simulation, results returned in point order,
+// artifact ordinals reserved in point order, perf records appended in
+// point order).
 //
 // Manifest sidecars (*.manifest.json) are excluded from the comparison:
 // they record the exact argv of the run, which legitimately differs by the
@@ -30,9 +30,9 @@ struct RunResult {
   std::string output;
 };
 
-/// Runs a bench binary and captures stdout only. stderr is discarded: with
-/// --threads > 1 the obs announce lines move there and their interleaving
-/// with worker progress is not deterministic (documented in bench/common).
+/// Runs a bench binary and captures stdout only. stderr is discarded: the
+/// obs announce lines go there, and with --threads > 1 concurrent workers
+/// interleave them in no fixed order.
 RunResult run(const std::string& cmd) {
   RunResult r;
   FILE* pipe = popen((cmd + " 2>/dev/null").c_str(), "r");
@@ -145,4 +145,8 @@ TEST(ShardedIdentity, Fig5StdoutAndExportsMatchSerial) {
 
 TEST(ShardedIdentity, Fig9StdoutAndExportsMatchSerial) {
   expectByteIdentical("fig9_dist_1pfpp", "");
+}
+
+TEST(ShardedIdentity, Ablation1pfppDirsStdoutAndExportsMatchSerial) {
+  expectByteIdentical("ablation_1pfpp_dirs", "");
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "iolib/layout.hpp"
+#include "profiling/profile.hpp"
 
 namespace bgckpt::iolib {
 namespace {
@@ -170,16 +171,18 @@ TEST(Strategies, InvalidConfigsThrow) {
 }
 
 TEST(Strategies, ProfileRecordsAllOpKinds) {
+  prof::IoProfile profile;
   SimStack stack(256, quietOptions());
+  stack.obs.addSink(std::make_shared<prof::IoProfileSink>(profile));
   auto spec = smallSpec(false);
   runCheckpoint(stack, spec, StrategyConfig::rbIo(64, true));
-  EXPECT_GT(stack.profile.opCount(prof::Op::kSend), 0u);
-  EXPECT_GT(stack.profile.opCount(prof::Op::kRecv), 0u);
-  EXPECT_GT(stack.profile.opCount(prof::Op::kWrite), 0u);
-  EXPECT_GT(stack.profile.opCount(prof::Op::kCreate), 0u);
+  EXPECT_GT(profile.opCount(prof::Op::kSend), 0u);
+  EXPECT_GT(profile.opCount(prof::Op::kRecv), 0u);
+  EXPECT_GT(profile.opCount(prof::Op::kWrite), 0u);
+  EXPECT_GT(profile.opCount(prof::Op::kCreate), 0u);
   // 252 workers sent ~one package each.
-  EXPECT_EQ(stack.profile.opCount(prof::Op::kSend), 252u);
-  EXPECT_EQ(stack.profile.totalBytes(prof::Op::kSend),
+  EXPECT_EQ(profile.opCount(prof::Op::kSend), 252u);
+  EXPECT_EQ(profile.totalBytes(prof::Op::kSend),
             252u * spec.bytesPerRank());
 }
 

@@ -12,6 +12,7 @@
 #include "iolib/strategies.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
+#include "profiling/profile.hpp"
 
 namespace bgckpt {
 namespace {
@@ -108,12 +109,14 @@ TEST(StackTrace, CoIoTraceBalancedWithCollectiveWrites) {
 }
 
 TEST(StackTrace, ProfileMatchesEventStream) {
-  // The legacy IoProfile is fed from the same kIo events the trace sees:
-  // its op counts must equal the trace's X-event counts per op name.
+  // The IoProfile is fed from the same kIo events the trace sees: its op
+  // counts must equal the trace's X-event counts per op name.
   auto chrome = std::make_shared<std::ostringstream>();
+  prof::IoProfile profile;
   iolib::SimStack stack(256, quiet());
   auto sink = std::make_shared<obs::ChromeTraceSink>(*chrome);
   stack.obs.addSink(sink);
+  stack.obs.addSink(std::make_shared<prof::IoProfileSink>(profile));
   iolib::runCheckpoint(stack, smallSpec(), iolib::StrategyConfig::onePfpp());
   sink->close();
 
@@ -128,18 +131,20 @@ TEST(StackTrace, ProfileMatchesEventStream) {
     if (name == "write") ++writes;
     if (name == "close") ++closes;
   }
-  EXPECT_EQ(creates, stack.profile.opCount(prof::Op::kCreate));
-  EXPECT_EQ(writes, stack.profile.opCount(prof::Op::kWrite));
-  EXPECT_EQ(closes, stack.profile.opCount(prof::Op::kClose));
+  EXPECT_EQ(creates, profile.opCount(prof::Op::kCreate));
+  EXPECT_EQ(writes, profile.opCount(prof::Op::kWrite));
+  EXPECT_EQ(closes, profile.opCount(prof::Op::kClose));
   EXPECT_EQ(creates, 256u);  // one file per rank under 1PFPP
 }
 
 TEST(StackTrace, UntracedStackStillFillsProfileAndMetrics) {
+  prof::IoProfile profile;
   iolib::SimStack stack(256, quiet());
+  stack.obs.addSink(std::make_shared<prof::IoProfileSink>(profile));
   iolib::runCheckpoint(stack, smallSpec(), iolib::StrategyConfig::onePfpp());
-  // No ChromeTraceSink attached: the IoProfileSink alone must keep the
-  // legacy profile working, and layer metrics accumulate regardless.
-  EXPECT_EQ(stack.profile.opCount(prof::Op::kCreate), 256u);
+  // No ChromeTraceSink attached: the IoProfileSink alone fills the
+  // profile, and layer metrics accumulate regardless.
+  EXPECT_EQ(profile.opCount(prof::Op::kCreate), 256u);
   EXPECT_GT(stack.obs.metrics().counter("fs.token.acquires").value(), 0u);
   EXPECT_GT(stack.obs.metrics().counter("stor.requests").value(), 0u);
   EXPECT_GT(stack.obs.metrics().counter("sched.events").value(), 0u);

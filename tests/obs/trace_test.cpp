@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -198,6 +199,55 @@ TEST(Observability, SchedulerProbeCountsRootsAndEvents) {
   obs.releaseScheduler();
   EXPECT_EQ(obs.metrics().counter("sched.roots").value(), 2u);
   EXPECT_GT(obs.metrics().counter("sched.events").value(), 0u);
+}
+
+/// Keeps every event it is handed, for asserting on emissions.
+class CaptureSink final : public TraceSink {
+ public:
+  void event(const TraceEvent& ev) override { events.push_back(ev); }
+  std::vector<TraceEvent> events;
+};
+
+TEST(IoOpSpan, AbandonedOpRecordsAtDestructionWithSchedulerClock) {
+  sim::Scheduler sched;
+  Observability obs;
+  auto sink = std::make_shared<CaptureSink>();
+  obs.addSink(sink);
+  auto body = [&]() -> sim::Task<> {
+    IoOpSpan op(&obs, sched, 1, "write");
+    co_await sched.delay(2.0);
+    // No stop(): destruction when the frame unwinds must still record.
+  };
+  sched.spawn(body());
+  sched.run();
+  ASSERT_EQ(sink->events.size(), 1u);
+  const TraceEvent& ev = sink->events[0];
+  EXPECT_EQ(ev.layer, Layer::kIo);
+  EXPECT_EQ(ev.phase, 'X');
+  EXPECT_EQ(ev.tid, 1);
+  EXPECT_STREQ(ev.name, "write");
+  EXPECT_DOUBLE_EQ(ev.ts, 0.0);
+  EXPECT_DOUBLE_EQ(ev.dur, 2.0);
+  EXPECT_FALSE(ev.hasBytes);
+}
+
+TEST(IoOpSpan, StopThenDestroyRecordsExactlyOnce) {
+  sim::Scheduler sched;
+  Observability obs;
+  auto sink = std::make_shared<CaptureSink>();
+  obs.addSink(sink);
+  auto body = [&]() -> sim::Task<> {
+    IoOpSpan op(&obs, sched, 0, "close");
+    co_await sched.delay(1.5);
+    op.stop(7);
+    co_await sched.delay(1.0);  // destroyed later: must not record again
+  };
+  sched.spawn(body());
+  sched.run();
+  ASSERT_EQ(sink->events.size(), 1u);
+  EXPECT_DOUBLE_EQ(sink->events[0].dur, 1.5);
+  EXPECT_TRUE(sink->events[0].hasBytes);
+  EXPECT_EQ(sink->events[0].bytes, 7u);
 }
 
 }  // namespace

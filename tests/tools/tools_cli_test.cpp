@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #ifndef TOOLS_BIN_DIR
 #error "TOOLS_BIN_DIR must be defined by the build"
@@ -347,31 +348,82 @@ TEST(TraceReportCli, RuntimeWarnsAboutDroppedRegions) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared bench flags: --threads takes a whole integer >= 1 or exits 2.
+// Bench flags: every value is parsed strictly; a malformed one exits 2 with
+// "error: --flag: ..." instead of running with a default.
 // ---------------------------------------------------------------------------
 
-std::string eq27Bin() {
-  return std::string(BENCH_BIN_DIR) + "/eq27_speedup_model";
+std::string benchBin(const char* name) {
+  return std::string(BENCH_BIN_DIR) + "/" + name;
 }
+std::string eq27Bin() { return benchBin("eq27_speedup_model"); }
 
 TEST(BenchFlagsCli, ThreadsRejectsMalformedValues) {
-  for (const char* bad : {"abc", "0", "-3", "4x", ""}) {
-    for (const std::string& flag :
-         {std::string("--threads=") + bad,
-          std::string("--threads '") + bad + "'"}) {
-      const auto r = run(eq27Bin() + " " + flag);
-      EXPECT_EQ(r.exitCode, 2) << flag << "\n" << r.output;
-      EXPECT_NE(r.output.find("error: --threads"), std::string::npos)
-          << flag << "\n" << r.output;
+  struct FlagCase {
+    std::string bin;
+    const char* flag;
+    std::vector<const char*> bad;
+    /// The flag also takes its value as the next argument (`--flag VALUE`),
+    /// so that form and a trailing value-less flag are tried too.
+    bool separate;
+    /// Arguments that must follow the flag (--telemetry=DT's output file).
+    const char* trailing;
+  };
+  const std::vector<FlagCase> cases = {
+      {eq27Bin(), "--threads", {"abc", "0", "-3", "4x", ""}, true, ""},
+      {eq27Bin(), "--simcheck", {"bogus", "ON", ""}, false, ""},
+      {eq27Bin(), "--flightrec", {"abc", "0", "-5", "8x", ""}, false, ""},
+      {eq27Bin(), "--optrace", {"abc", "0", "-2", "inf", ""}, false, ""},
+      {eq27Bin(), "--telemetry", {"abc", "0", "-1", "1s"}, false,
+       " /dev/null"},
+      {benchBin("fig5_write_bandwidth"), "--max-np", {"16384x", "abc", "0"},
+       true, ""},
+      {benchBin("eq7_measured_vs_model"), "--np", {"256abc", "-64", ""}, true,
+       ""},
+      {benchBin("production_campaign"), "--np", {"256abc", "x"}, true, ""},
+      {benchBin("production_campaign"), "--steps", {"3x", "-1"}, true, ""},
+      {benchBin("production_campaign"), "--every", {"1.5", "0"}, true, ""},
+  };
+  for (const FlagCase& c : cases) {
+    std::vector<std::string> forms;
+    for (const char* bad : c.bad) {
+      forms.push_back(std::string(c.flag) + "=" + bad + c.trailing);
+      if (c.separate) forms.push_back(std::string(c.flag) + " '" + bad + "'");
+    }
+    if (c.separate) forms.emplace_back(c.flag);  // trailing, no value
+    for (const std::string& form : forms) {
+      const auto r = run(c.bin + " " + form);
+      EXPECT_EQ(r.exitCode, 2) << c.bin << " " << form << "\n" << r.output;
+      EXPECT_NE(r.output.find(std::string("error: ") + c.flag),
+                std::string::npos)
+          << c.bin << " " << form << "\n" << r.output;
     }
   }
-  // A trailing --threads with no value is malformed too.
-  EXPECT_EQ(run(eq27Bin() + " --threads").exitCode, 2);
 }
 
 TEST(BenchFlagsCli, ThreadsAcceptsPositiveInteger) {
   const auto r = run(eq27Bin() + " --threads=2");
   EXPECT_EQ(r.exitCode, 0) << r.output;
+}
+
+TEST(BenchFlagsCli, ThreadsRunMultiPointBenchAsOneParallelRegion) {
+  // ablation_1pfpp_dirs simulates three 16K points; --threads=3 must run
+  // them as one labelled three-job parallelFor region.
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("runtimeprof_abl_" + std::to_string(::getpid()) +
+                     ".json");
+  const auto bench = run(benchBin("ablation_1pfpp_dirs") +
+                         " --threads=3 --runtime-profile=" + path.string());
+  ASSERT_EQ(bench.exitCode, 0) << bench.output;
+  const auto r = run(traceReport() + " --runtime " + path.string());
+  std::filesystem::remove(path);
+  std::filesystem::remove(path.string() + ".manifest.json");
+  EXPECT_EQ(r.exitCode, 0) << r.output;
+  EXPECT_NE(r.output.find("1 parallel region(s), 3 point record(s)"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find(": 3 jobs on 3 threads"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("np=16384 1PFPP"), std::string::npos) << r.output;
 }
 
 // ---------------------------------------------------------------------------
