@@ -58,6 +58,8 @@ std::vector<std::string> gCmdArgs;
 // (bench, args) and stamp the rev as "unknown".
 std::string gGitRev;
 std::string gConfigHash;
+// The harness's own flags, declared to obsInit and parsed by intFlag.
+std::vector<std::string> gBenchFlags;
 sim::SimCheckMode gSimCheckMode = sim::SimCheckMode::kAuto;
 unsigned gThreads = 1;
 int gStacksAttached = 0;
@@ -196,9 +198,39 @@ double parsePositive(const char* flag, const char* text) {
   return v;
 }
 
+/// The flag summary printed by --help and after an unknown argument.
+void usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: %s [--threads N] [--simcheck[=on|warn|off]]\n"
+               "  [--trace FILE] [--metrics FILE] [--perf-json FILE]"
+               " [--attr FILE]\n"
+               "  [--critpath FILE] [--telemetry[=DT] FILE]"
+               " [--optrace[=RATE] [FILE]]\n"
+               "  [--obs-dir DIR] [--flightrec[=N]]"
+               " [--runtime-profile[=FILE]]",
+               gBenchName.c_str());
+  for (const std::string& f : gBenchFlags)
+    std::fprintf(out, " [%s N]", f.c_str());
+  std::fprintf(out, "\n");
+}
+
+/// True when `arg` is one of the harness's own flags, as NAME or NAME=...
+bool isBenchFlag(const char* arg, bool* hasValue) {
+  for (const std::string& f : gBenchFlags) {
+    if (std::strncmp(arg, f.c_str(), f.size()) != 0) continue;
+    if (arg[f.size()] == '\0' || arg[f.size()] == '=') {
+      *hasValue = arg[f.size()] == '=';
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
-void obsInit(int argc, char** argv) {
+void obsInit(int argc, char** argv,
+             std::initializer_list<const char*> benchFlags) {
+  gBenchFlags.assign(benchFlags.begin(), benchFlags.end());
   if (argc > 0) {
     gBenchName = argv[0];
     const auto slash = gBenchName.find_last_of('/');
@@ -295,6 +327,25 @@ void obsInit(int argc, char** argv) {
       } else {
         badValue("--simcheck", "on, warn or off", mode);
       }
+    } else if (bool hasValue = false; isBenchFlag(a, &hasValue)) {
+      // intFlag parses (and validates) the value later.
+      if (!hasValue && i + 1 < argc) ++i;
+    } else if (std::strcmp(a, "--trace") == 0 ||
+               std::strcmp(a, "--metrics") == 0 ||
+               std::strcmp(a, "--perf-json") == 0 ||
+               std::strcmp(a, "--attr") == 0 ||
+               std::strcmp(a, "--critpath") == 0 ||
+               std::strcmp(a, "--telemetry") == 0 ||
+               std::strcmp(a, "--obs-dir") == 0) {
+      badValue(a, "a path after the flag", "");  // trailing, no value
+    } else if (std::strcmp(a, "--help") == 0) {
+      usage(stdout);
+      std::exit(0);
+    } else {
+      // A misspelt flag must not silently run the full bench with defaults.
+      std::fprintf(stderr, "error: unknown argument '%s'\n", a);
+      usage(stderr);
+      std::exit(2);
     }
   }
   if (!gObsDir.empty()) {
@@ -340,6 +391,11 @@ void obsInit(int argc, char** argv) {
 }
 
 int intFlag(int argc, char** argv, const char* name, int fallback) {
+  if (std::find(gBenchFlags.begin(), gBenchFlags.end(), name) ==
+      gBenchFlags.end()) {
+    std::fprintf(stderr, "bench bug: %s was not declared to obsInit\n", name);
+    std::abort();
+  }
   const std::size_t len = std::strlen(name);
   int value = fallback;
   for (int i = 1; i < argc; ++i) {

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -104,12 +105,16 @@ std::string secs(double seconds);
 /// validates before parsing. Every announce line goes to stderr, so figure
 /// stdout depends on neither the flags nor the thread count. A malformed
 /// flag value (`--threads=0`, `--simcheck=bogus`, `--flightrec=abc`, ...)
-/// prints `error: --flag: ...` and exits 2. Unknown arguments are ignored
-/// so harnesses stay forward-compatible.
-void obsInit(int argc, char** argv);
+/// prints `error: --flag: ...` and exits 2. `benchFlags` names the
+/// harness's own integer flags (read with intFlag). Any other argument
+/// prints `error: unknown argument '...'` plus the usage and exits 2;
+/// `--help` prints the usage and exits 0.
+void obsInit(int argc, char** argv,
+             std::initializer_list<const char*> benchFlags = {});
 
 /// Value of a harness-specific integer flag given as `NAME N` or `NAME=N`;
-/// `fallback` when the flag is absent. The value must be plain decimal
+/// `fallback` when the flag is absent. NAME must be one of the
+/// `benchFlags` given to obsInit. The value must be plain decimal
 /// digits spelling an integer >= 1 (the same rule as --threads); anything
 /// else, including a trailing NAME with no value, prints
 /// `error: NAME: ...` and exits 2.

@@ -63,7 +63,7 @@ void printPhaseTable(const char* label,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bgckpt::bench::obsInit(argc, argv);
+  bgckpt::bench::obsInit(argc, argv, {"--np"});
   const int np = intFlag(argc, argv, "--np", 4096);
   if (np < 128 || np % 64 != 0) {
     std::fprintf(stderr, "error: --np must be a multiple of 64, >= 128\n");

@@ -11,7 +11,7 @@ using namespace bgckpt;
 using namespace bgckpt::bench;
 
 int main(int argc, char** argv) {
-  bgckpt::bench::obsInit(argc, argv);
+  bgckpt::bench::obsInit(argc, argv, {"--max-np"});
   // --max-np N: smoke mode for slow (sanitizer) builds — run only the
   // scales up to N. Shape checks need all three scales, so they are
   // skipped; the run still exercises every approach end-to-end.

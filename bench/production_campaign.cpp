@@ -20,7 +20,7 @@ using namespace bgckpt;
 using namespace bgckpt::bench;
 
 int main(int argc, char** argv) {
-  bgckpt::bench::obsInit(argc, argv);
+  bgckpt::bench::obsInit(argc, argv, {"--np", "--steps", "--every"});
   const int np = intFlag(argc, argv, "--np", 16384);
   const int steps = intFlag(argc, argv, "--steps", 60);
   const int every = intFlag(argc, argv, "--every", 20);

@@ -216,75 +216,78 @@ sim::Task<> MpiFile::writeAtAll(std::uint64_t offset, sim::Bytes len,
     }
   }
 
-  // Phase 2: aggregators collect their domain and commit it in
-  // cb_buffer_size chunks.
-  if (sh.isAgg[static_cast<std::size_t>(comm_.rank())] && meta.hi > meta.lo) {
-    // Which domain(s) do I own? Aggregator k owns domain k.
-    const auto it = std::find(sh.aggregators.begin(), sh.aggregators.end(),
-                              comm_.rank());
-    const int myDomain = static_cast<int>(it - sh.aggregators.begin());
-    if (myDomain < meta.numDomains()) {
-      const std::uint64_t dLo = meta.domainLo(myDomain);
-      const std::uint64_t dHi = meta.domainHi(myDomain);
-      const int expected = meta.contributors(dLo, dHi);
-      struct Piece {
-        std::uint64_t offset;
-        sim::Bytes size;
-        std::shared_ptr<const std::vector<std::byte>> payload;
-      };
-      std::vector<Piece> pieces;
-      pieces.reserve(static_cast<std::size_t>(expected));
-      for (int i = 0; i < expected; ++i) {
-        mpi::Message msg = co_await comm_.recv(mpi::kAnySource, tag);
-        otc.link(msg.trace);  // 32:1 (or nf-dependent) fan-in lineage
-        pieces.push_back({msg.meta, msg.size, msg.payload});
-      }
-      std::sort(pieces.begin(), pieces.end(),
-                [](const Piece& a, const Piece& b) {
-                  return a.offset < b.offset;
-                });
-      co_await ensureFsHandle(otc);
-      // Coalesce contiguous pieces into runs; commit runs chunk by chunk.
-      std::size_t i = 0;
-      while (i < pieces.size()) {
-        std::uint64_t runLo = pieces[i].offset;
-        std::uint64_t runHi = runLo + pieces[i].size;
-        std::vector<std::byte> runBytes;
-        bool haveBytes = pieces[i].payload != nullptr;
-        if (haveBytes)
-          runBytes.assign(pieces[i].payload->begin(),
-                          pieces[i].payload->end());
-        ++i;
-        while (i < pieces.size() && pieces[i].offset == runHi) {
-          if (haveBytes && pieces[i].payload) {
-            runBytes.insert(runBytes.end(), pieces[i].payload->begin(),
-                            pieces[i].payload->end());
-          } else {
-            haveBytes = false;
-          }
-          runHi += pieces[i].size;
-          ++i;
-        }
-        std::uint64_t cursor = runLo;
-        while (cursor < runHi) {
-          const std::uint64_t chunkEnd =
-              std::min(runHi, cursor + sh.hints.cbBufferSize);
-          std::span<const std::byte> chunkData;
-          if (haveBytes)
-            chunkData = std::span<const std::byte>(
-                runBytes.data() + (cursor - runLo), chunkEnd - cursor);
-          co_await fsys_->write(myFsClientId(), fsHandle_, cursor,
-                                chunkEnd - cursor, chunkData, otc);
-          cursor = chunkEnd;
-        }
-      }
-    }
-  }
+  // Phase 2: aggregators collect their domain and commit it.
+  if (sh.isAgg[static_cast<std::size_t>(comm_.rank())] && meta.hi > meta.lo)
+    co_await commitDomain(tag, otc);
 
   // Phase 3: collective completion.
   const sim::SimTime barrierStart = comm_.scheduler().now();
   co_await comm_.barrier();
   otc.hop(obs::Hop::kCollective, barrierStart, comm_.scheduler().now());
+}
+
+sim::Task<> MpiFile::commitDomain(int tag, obs::OpTraceContext otc) {
+  const Shared& sh = *shared_;
+  const auto& meta = sh.meta;
+  // Which domain(s) do I own? Aggregator k owns domain k.
+  const auto it = std::find(sh.aggregators.begin(), sh.aggregators.end(),
+                            comm_.rank());
+  const int myDomain = static_cast<int>(it - sh.aggregators.begin());
+  if (myDomain >= meta.numDomains()) co_return;
+  const std::uint64_t dLo = meta.domainLo(myDomain);
+  const std::uint64_t dHi = meta.domainHi(myDomain);
+  const int expected = meta.contributors(dLo, dHi);
+  struct Piece {
+    std::uint64_t offset;
+    sim::Bytes size;
+    std::shared_ptr<const std::vector<std::byte>> payload;
+  };
+  std::vector<Piece> pieces;
+  pieces.reserve(static_cast<std::size_t>(expected));
+  for (int i = 0; i < expected; ++i) {
+    mpi::Message msg = co_await comm_.recv(mpi::kAnySource, tag);
+    otc.link(msg.trace);  // 32:1 (or nf-dependent) fan-in lineage
+    pieces.push_back({msg.meta, msg.size, msg.payload});
+  }
+  std::sort(pieces.begin(), pieces.end(),
+            [](const Piece& a, const Piece& b) {
+              return a.offset < b.offset;
+            });
+  co_await ensureFsHandle(otc);
+  // Coalesce contiguous pieces into runs; commit runs chunk by chunk.
+  std::size_t i = 0;
+  while (i < pieces.size()) {
+    std::uint64_t runLo = pieces[i].offset;
+    std::uint64_t runHi = runLo + pieces[i].size;
+    std::vector<std::byte> runBytes;
+    bool haveBytes = pieces[i].payload != nullptr;
+    if (haveBytes)
+      runBytes.assign(pieces[i].payload->begin(),
+                      pieces[i].payload->end());
+    ++i;
+    while (i < pieces.size() && pieces[i].offset == runHi) {
+      if (haveBytes && pieces[i].payload) {
+        runBytes.insert(runBytes.end(), pieces[i].payload->begin(),
+                        pieces[i].payload->end());
+      } else {
+        haveBytes = false;
+      }
+      runHi += pieces[i].size;
+      ++i;
+    }
+    std::uint64_t cursor = runLo;
+    while (cursor < runHi) {
+      const std::uint64_t chunkEnd =
+          std::min(runHi, cursor + sh.hints.cbBufferSize);
+      std::span<const std::byte> chunkData;
+      if (haveBytes)
+        chunkData = std::span<const std::byte>(
+            runBytes.data() + (cursor - runLo), chunkEnd - cursor);
+      co_await fsys_->write(myFsClientId(), fsHandle_, cursor,
+                            chunkEnd - cursor, chunkData, otc);
+      cursor = chunkEnd;
+    }
+  }
 }
 
 sim::Task<> MpiFile::close(obs::OpTraceContext otc) {

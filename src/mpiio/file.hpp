@@ -79,6 +79,11 @@ class MpiFile {
       : comm_(comm), fsys_(fsys), shared_(std::move(shared)) {}
 
   sim::Task<> ensureFsHandle(obs::OpTraceContext otc = {});
+  /// writeAtAll's Phase 2, run by aggregators only: receive this rank's
+  /// file domain (exchange tag `tag`), sort and coalesce the pieces, and
+  /// commit them in cb_buffer_size chunks. A coroutine of its own, so the
+  /// writeAtAll frame every non-aggregator carries stays small.
+  sim::Task<> commitDomain(int tag, obs::OpTraceContext otc);
   int myFsClientId() const { return comm_.globalRank(comm_.rank()); }
 
   mpi::Comm comm_;

@@ -1,9 +1,11 @@
 #include "mpisim/comm.hpp"
 
+#include "simcore/fifo.hpp"
 #include "simcore/simcheck.hpp"
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <tuple>
 
@@ -12,6 +14,8 @@ namespace bgckpt::mpi {
 namespace detail {
 
 struct Group {
+  using Kind = CollectiveCall::Kind;
+
   sim::Scheduler& sched;
   const machine::Machine& mach;
   net::TorusNetwork& torus;
@@ -27,16 +31,20 @@ struct Group {
     std::coroutine_handle<> handle;
     Message msg;
   };
+  // Both queues allocate on first use: most ranks of a 32K-rank group
+  // never receive a point-to-point message.
   struct Box {
-    std::deque<Message> queue;    // unmatched arrivals, in order
-    std::deque<Waiter*> waiters;  // suspended receivers, in order
+    sim::Fifo<Message> queue;    // unmatched arrivals, in order
+    sim::Fifo<Waiter*> waiters;  // suspended receivers, in order
   };
   std::vector<Box> boxes;
 
   // Collective scratch state. MPI requires every rank to enter collectives
-  // in the same order, so one set of slots per group suffices; the last
-  // arrival finalises results before the barrier releases anyone.
-  int collArrived = 0;
+  // in the same order, so one set of slots per group suffices. The last
+  // arrival finalises the round's result before anyone resumes, and the
+  // next round cannot finalise before every rank has resumed and read it.
+  // The per-rank slots are sized by the first collective that needs them.
+  Kind roundKind = Kind::kBarrier;  // set by the round's first arrival
   double reduceSumAccum = 0.0;
   double reduceMaxAccum = -std::numeric_limits<double>::infinity();
   double reduceSumResult = 0.0;
@@ -44,7 +52,8 @@ struct Group {
   std::vector<std::uint64_t> gatherAccum;
   std::vector<std::uint64_t> gatherResult;
   std::shared_ptr<const std::vector<std::uint64_t>> gatherShared;
-  Message bcastSlot;
+  Message bcastSlot;    // written by the root on arrival
+  Message bcastResult;  // the round's message, moved out at finalise
   std::vector<std::tuple<int, int, int>> splitEntries;  // (color, key, rank)
   std::map<int, std::shared_ptr<Group>> splitGroups;
   std::vector<int> splitLocalRank;
@@ -60,9 +69,7 @@ struct Group {
         jitter(std::move(j)),
         globalRanks(std::move(ranks)),
         barrier(s, globalRanks.size()),
-        boxes(globalRanks.size()),
-        gatherAccum(globalRanks.size(), 0),
-        splitLocalRank(globalRanks.size(), -1) {}
+        boxes(globalRanks.size()) {}
 
   int size() const { return static_cast<int>(globalRanks.size()); }
 
@@ -87,24 +94,64 @@ struct Group {
     box.queue.push_back(std::move(msg));
   }
 
-  /// Called by the last rank entering a collective, before the barrier
-  /// releases: snapshot accumulators into result slots and reset.
-  void finalizeCollective() {
-    reduceSumResult = reduceSumAccum;
-    reduceMaxResult = reduceMaxAccum;
-    gatherResult = gatherAccum;
-    gatherShared = std::make_shared<const std::vector<std::uint64_t>>(
-        gatherAccum);
-    reduceSumAccum = 0.0;
-    reduceMaxAccum = -std::numeric_limits<double>::infinity();
-    std::fill(gatherAccum.begin(), gatherAccum.end(), 0);
-    collArrived = 0;
-    if (!splitEntries.empty()) finalizeSplit();
+  /// Called by the last rank entering a collective: publish the round's
+  /// result and reset the accumulators.
+  void finalizeCollective(Kind kind) {
+    switch (kind) {
+      case Kind::kBarrier:
+        break;
+      case Kind::kBcast:
+        bcastResult = std::move(bcastSlot);
+        bcastSlot = Message{};
+        break;
+      case Kind::kSum:
+        reduceSumResult = reduceSumAccum;
+        reduceSumAccum = 0.0;
+        break;
+      case Kind::kMax:
+        reduceMaxResult = reduceMaxAccum;
+        reduceMaxAccum = -std::numeric_limits<double>::infinity();
+        break;
+      case Kind::kGather:
+        gatherResult = gatherAccum;
+        break;
+      case Kind::kGatherShared:
+        gatherShared =
+            std::make_shared<const std::vector<std::uint64_t>>(gatherAccum);
+        break;
+      case Kind::kSplit:
+        finalizeSplit();
+        break;
+    }
+  }
+
+  /// Simulated time every rank spends in a collective of `kind` after the
+  /// last arrival (the collective/barrier networks' analytic costs).
+  sim::Duration collectiveCost(Kind kind) const {
+    const int n = size();
+    switch (kind) {
+      case Kind::kBarrier:
+      case Kind::kSplit:
+        return coll.barrierCost(n);
+      case Kind::kBcast:
+        return coll.broadcastCost(n, bcastResult.size);
+      case Kind::kSum:
+      case Kind::kMax:
+        return coll.reduceCost(n, sizeof(double)) +
+               coll.broadcastCost(n, sizeof(double));
+      case Kind::kGather:
+      case Kind::kGatherShared:
+        return coll.reduceCost(n, sizeof(std::uint64_t)) +
+               coll.broadcastCost(n, sizeof(std::uint64_t) *
+                                         globalRanks.size());
+    }
+    return 0.0;
   }
 
   void finalizeSplit() {
     std::sort(splitEntries.begin(), splitEntries.end());  // color, key, rank
     splitGroups.clear();
+    splitLocalRank.resize(globalRanks.size());
     std::map<int, std::vector<int>> members;  // color -> old local ranks
     for (const auto& [color, key, rank] : splitEntries)
       members[color].push_back(rank);
@@ -139,19 +186,6 @@ sim::Task<> transferAndDeliver(std::shared_ptr<Group> g, int src, int dst,
                     g->sched.now());
   g->deliver(dst, std::move(msg));
   gate->fire();
-}
-
-// One kMpi wait span per rank per collective, covering arrival through the
-// barrier release and the analytic cost delay. Blocked-time attribution
-// (obs/attr.hpp) classifies these as barrier wait, so the span must cover
-// the full interval a rank is held inside the collective — notably the wait
-// for stragglers, which is the paper's "blocked processor" component.
-void emitCollSpan(detail::Group& g, int localRank, const char* name,
-                  sim::SimTime t0) {
-  if (g.obs)
-    g.obs->complete(obs::Layer::kMpi,
-                    g.globalRanks[static_cast<std::size_t>(localRank)], name,
-                    t0, g.sched.now());
 }
 
 struct RecvAwaiter {
@@ -231,96 +265,90 @@ sim::Task<> Comm::waitAll(const std::vector<Request>& reqs) {
   for (const auto& r : reqs) co_await wait(r);
 }
 
-sim::Task<> Comm::barrier() {
-  auto& g = *group_;
-  const sim::SimTime t0 = g.sched.now();
-  if (++g.collArrived == g.size()) g.finalizeCollective();
-  co_await g.barrier.arriveAndWait();
-  co_await g.sched.delay(g.coll.barrierCost(g.size()));
-  detail::emitCollSpan(g, rank_, "barrier", t0);
+namespace detail {
+
+void CollectiveCall::await_suspend(std::coroutine_handle<> h) {
+  Group& g = *g_;
+  t0_ = g.sched.now();
+  if (g.barrier.arrived() == 0) g.roundKind = kind_;
+  SIM_CHECK(g.roundKind == kind_,
+            "ranks entered different collectives in the same round");
+  if (!g.barrier.completesRound()) {
+    g.barrier.park(h);
+    return;
+  }
+  g.finalizeCollective(kind_);
+  g.barrier.release(h, g.collectiveCost(kind_));
 }
 
-sim::Task<Message> Comm::bcast(int root, Message msg) {
-  auto& g = *group_;
-  const sim::SimTime t0 = g.sched.now();
-  if (rank_ == root) g.bcastSlot = msg;
-  if (++g.collArrived == g.size()) g.finalizeCollective();
-  co_await g.barrier.arriveAndWait();
-  Message result = g.bcastSlot;
-  co_await g.sched.delay(
-      g.coll.broadcastCost(g.size(), result.size));
-  detail::emitCollSpan(g, rank_, "collective", t0);
-  co_return result;
+// One kMpi wait span per rank per collective, covering arrival through the
+// barrier release and the analytic cost delay. Blocked-time attribution
+// (obs/attr.hpp) classifies these as barrier wait, so the span must cover
+// the full interval a rank is held inside the collective — notably the wait
+// for stragglers, which is the paper's "blocked processor" component.
+void CollectiveCall::emitSpan() const {
+  const Group& g = *g_;
+  if (g.obs)
+    g.obs->complete(obs::Layer::kMpi,
+                    g.globalRanks[static_cast<std::size_t>(rank_)],
+                    kind_ == Kind::kBarrier ? "barrier" : "collective", t0_,
+                    g.sched.now());
 }
 
-sim::Task<double> Comm::allReduceSum(double value) {
-  auto& g = *group_;
-  const sim::SimTime t0 = g.sched.now();
-  g.reduceSumAccum += value;
-  if (++g.collArrived == g.size()) g.finalizeCollective();
-  co_await g.barrier.arriveAndWait();
-  const double result = g.reduceSumResult;
-  co_await g.sched.delay(g.coll.reduceCost(g.size(), sizeof(double)) +
-                         g.coll.broadcastCost(g.size(), sizeof(double)));
-  detail::emitCollSpan(g, rank_, "collective", t0);
-  co_return result;
+}  // namespace detail
+
+void BcastCall::await_suspend(std::coroutine_handle<> h) {
+  if (rank_ == root_) g_->bcastSlot = *msg_;
+  CollectiveCall::await_suspend(h);
 }
 
-sim::Task<double> Comm::allReduceMax(double value) {
-  auto& g = *group_;
-  const sim::SimTime t0 = g.sched.now();
-  g.reduceMaxAccum = std::max(g.reduceMaxAccum, value);
-  if (++g.collArrived == g.size()) g.finalizeCollective();
-  co_await g.barrier.arriveAndWait();
-  const double result = g.reduceMaxResult;
-  co_await g.sched.delay(g.coll.reduceCost(g.size(), sizeof(double)) +
-                         g.coll.broadcastCost(g.size(), sizeof(double)));
-  detail::emitCollSpan(g, rank_, "collective", t0);
-  co_return result;
+Message BcastCall::await_resume() const {
+  emitSpan();
+  return g_->bcastResult;
 }
 
-sim::Task<std::vector<std::uint64_t>> Comm::allGatherU64(std::uint64_t value) {
-  auto& g = *group_;
-  const sim::SimTime t0 = g.sched.now();
-  g.gatherAccum[static_cast<std::size_t>(rank_)] = value;
-  if (++g.collArrived == g.size()) g.finalizeCollective();
-  co_await g.barrier.arriveAndWait();
-  std::vector<std::uint64_t> result = g.gatherResult;
-  co_await g.sched.delay(
-      g.coll.reduceCost(g.size(), sizeof(std::uint64_t)) +
-      g.coll.broadcastCost(
-          g.size(), sizeof(std::uint64_t) * g.gatherResult.size()));
-  detail::emitCollSpan(g, rank_, "collective", t0);
-  co_return result;
+void ReduceCall::await_suspend(std::coroutine_handle<> h) {
+  if (kind_ == Kind::kSum)
+    g_->reduceSumAccum += value_;
+  else
+    g_->reduceMaxAccum = std::max(g_->reduceMaxAccum, value_);
+  CollectiveCall::await_suspend(h);
 }
 
-sim::Task<std::shared_ptr<const std::vector<std::uint64_t>>>
-Comm::allGatherU64Shared(std::uint64_t value) {
-  auto& g = *group_;
-  const sim::SimTime t0 = g.sched.now();
-  g.gatherAccum[static_cast<std::size_t>(rank_)] = value;
-  if (++g.collArrived == g.size()) g.finalizeCollective();
-  co_await g.barrier.arriveAndWait();
-  auto result = g.gatherShared;
-  co_await g.sched.delay(
-      g.coll.reduceCost(g.size(), sizeof(std::uint64_t)) +
-      g.coll.broadcastCost(g.size(),
-                           sizeof(std::uint64_t) * g.gatherAccum.size()));
-  detail::emitCollSpan(g, rank_, "collective", t0);
-  co_return result;
+double ReduceCall::await_resume() const {
+  emitSpan();
+  return kind_ == Kind::kSum ? g_->reduceSumResult : g_->reduceMaxResult;
 }
 
-sim::Task<Comm> Comm::split(int color, int key) {
-  auto& g = *group_;
-  const sim::SimTime t0 = g.sched.now();
-  g.splitEntries.emplace_back(color, key, rank_);
-  if (++g.collArrived == g.size()) g.finalizeCollective();
-  co_await g.barrier.arriveAndWait();
-  auto sub = g.splitGroups.at(color);
-  const int newRank = g.splitLocalRank[static_cast<std::size_t>(rank_)];
-  co_await g.sched.delay(g.coll.barrierCost(g.size()));
-  detail::emitCollSpan(g, rank_, "collective", t0);
-  co_return Comm(std::move(sub), newRank);
+template <typename Result>
+void GatherCall<Result>::await_suspend(std::coroutine_handle<> h) {
+  auto& accum = g_->gatherAccum;
+  if (accum.empty()) accum.resize(g_->globalRanks.size());
+  accum[static_cast<std::size_t>(rank_)] = value_;
+  CollectiveCall::await_suspend(h);
+}
+
+template <typename Result>
+Result GatherCall<Result>::await_resume() const {
+  emitSpan();
+  if constexpr (std::is_same_v<Result, std::vector<std::uint64_t>>)
+    return g_->gatherResult;
+  else
+    return g_->gatherShared;
+}
+
+template class GatherCall<std::vector<std::uint64_t>>;
+template class GatherCall<std::shared_ptr<const std::vector<std::uint64_t>>>;
+
+void SplitCall::await_suspend(std::coroutine_handle<> h) {
+  g_->splitEntries.emplace_back(color_, key_, rank_);
+  CollectiveCall::await_suspend(h);
+}
+
+Comm SplitCall::await_resume() const {
+  emitSpan();
+  return Comm(g_->splitGroups.at(color_),
+              g_->splitLocalRank[static_cast<std::size_t>(rank_)]);
 }
 
 Runtime::Runtime(sim::Scheduler& sched, const machine::Machine& mach,

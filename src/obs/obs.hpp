@@ -88,7 +88,8 @@ class Observability {
   void completeBytes(Layer layer, int tid, const char* name,
                      sim::SimTime start, sim::SimTime end, sim::Bytes bytes);
   /// MPI message delivery: complete event on the sender's row plus the
-  /// per-pair metrics entry.
+  /// per-pair metrics entry (recorded only when exportOnDestroy has set a
+  /// metrics path, since nothing else reads the pair matrix).
   void message(int src, int dst, sim::Bytes bytes, sim::SimTime sendTime,
                sim::SimTime deliverTime);
   void counterSample(Layer layer, const char* name, sim::SimTime ts,

@@ -1,6 +1,7 @@
 #include "simcore/arena.hpp"
 
 #include <cstdlib>
+#include <new>
 
 namespace bgckpt::sim {
 
@@ -10,7 +11,8 @@ FrameArena& FrameArena::instance() {
 }
 
 FrameArena::~FrameArena() {
-  for (char* slab : slabs_) ::operator delete(slab);
+  for (Slab* slab : slabs_)
+    ::operator delete(slab, std::align_val_t{kSlabBytes});
 }
 
 void FrameArena::beginAudit() {
@@ -56,16 +58,24 @@ void* FrameArena::allocate(std::size_t bytes) {
     if (auditing_) auditOnAllocate(p);
     return p;
   }
-  stats_.liveBytes += cls * kGranularity;
-  FreeBlock*& head = freeLists_[cls - 1];
+  const std::size_t blockBytes = cls * kGranularity;
+  stats_.liveBytes += blockBytes;
+  Slab* s = partials_[cls - 1];
+  if (s == nullptr) s = newSlab(cls);
   void* p = nullptr;
-  if (head != nullptr) {
+  if (s->free != nullptr) {
     ++stats_.poolHits;
-    p = head;
-    head = head->next;
+    p = s->free;
+    s->free = s->free->next;
   } else {
-    p = refill(cls);
+    p = s->bump;
+    s->bump += blockBytes;
   }
+  ++s->live;
+  const char* end = reinterpret_cast<const char*>(s) + kSlabBytes;
+  if (s->free == nullptr &&
+      static_cast<std::size_t>(end - s->bump) < blockBytes)
+    unlinkPartial(s, cls);  // full
   if (auditing_) auditOnAllocate(p);
   return p;
 }
@@ -84,27 +94,58 @@ void FrameArena::deallocate(void* p, std::size_t bytes) noexcept {
     return;
   }
   stats_.liveBytes -= cls * kGranularity;
+  Slab* s = slabOf(p);
   auto* block = static_cast<FreeBlock*>(p);
-  block->next = freeLists_[cls - 1];
-  freeLists_[cls - 1] = block;
+  block->next = s->free;
+  s->free = block;
+  --s->live;
+  if (!s->partial) {
+    linkPartial(s, cls);
+  } else if (s->live == 0 && (s->prev != nullptr || s->next != nullptr)) {
+    // Fully free and not the class's last partial slab: hand it to the
+    // pool every class draws from. The last one stays as the class's
+    // cache, so a class that empties and refills does not churn slabs.
+    unlinkPartial(s, cls);
+    s->next = empty_;
+    empty_ = s;
+  }
 }
 
-void* FrameArena::refill(std::size_t cls) {
-  const std::size_t blockBytes = cls * kGranularity;
-  if (slabRemaining_ < blockBytes) {
-    // Coroutine frames only require alignment <= __STDCPP_DEFAULT_NEW_ALIGNMENT__
-    // through non-aligned operator new, and kGranularity is a multiple of it,
-    // so carving the slab at 64-byte boundaries keeps every block aligned.
-    char* slab = static_cast<char*>(::operator new(kSlabBytes));
-    slabs_.push_back(slab);
-    slabCursor_ = slab;
-    slabRemaining_ = kSlabBytes;
+FrameArena::Slab* FrameArena::newSlab(std::size_t cls) {
+  Slab* s = empty_;
+  if (s != nullptr) {
+    empty_ = s->next;
+  } else {
+    s = static_cast<Slab*>(
+        ::operator new(kSlabBytes, std::align_val_t{kSlabBytes}));
+    slabs_.push_back(s);
     stats_.slabBytes += kSlabBytes;
   }
-  void* p = slabCursor_;
-  slabCursor_ += blockBytes;
-  slabRemaining_ -= blockBytes;
-  return p;
+  // The header fills the first block slot; kGranularity is a multiple of
+  // __STDCPP_DEFAULT_NEW_ALIGNMENT__, so every block stays aligned.
+  *s = Slab{};
+  s->bump = reinterpret_cast<char*>(s) + kGranularity;
+  linkPartial(s, cls);
+  return s;
+}
+
+void FrameArena::linkPartial(Slab* s, std::size_t cls) {
+  Slab*& head = partials_[cls - 1];
+  s->prev = nullptr;
+  s->next = head;
+  if (head != nullptr) head->prev = s;
+  head = s;
+  s->partial = true;
+}
+
+void FrameArena::unlinkPartial(Slab* s, std::size_t cls) {
+  if (s->prev != nullptr)
+    s->prev->next = s->next;
+  else
+    partials_[cls - 1] = s->next;
+  if (s->next != nullptr) s->next->prev = s->prev;
+  s->prev = s->next = nullptr;
+  s->partial = false;
 }
 
 }  // namespace bgckpt::sim

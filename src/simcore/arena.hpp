@@ -2,11 +2,15 @@
 //
 // Every simulated process and awaited sub-task is a coroutine, so a 64K-rank
 // run allocates and frees hundreds of thousands of frames with a handful of
-// distinct sizes. `FrameArena` recycles them: frames come from size-class
-// free lists backed by large slabs that are bump-allocated once and reused
-// for the rest of the process, so steady-state frame churn never touches
-// malloc. `Task<T>::promise_type` (task.hpp) and the scheduler's RootRunner
-// opt in by inheriting `detail::FrameArenaAllocated`.
+// distinct sizes. `FrameArena` recycles them: each size class carves its
+// frames out of its own slabs (256 KiB, aligned to their size so a frame's
+// slab is found by masking its address) and keeps a free list per slab, so
+// steady-state frame churn never touches malloc. A slab whose frames have
+// all been freed goes back to one pool that every class draws from — the
+// class keeps only one such slab as a cache — so reserved slab bytes follow
+// the peak of frames live at once, not the sum of every class's own peak.
+// `Task<T>::promise_type` (task.hpp) and the scheduler's RootRunner opt in
+// by inheriting `detail::FrameArenaAllocated`.
 //
 // The arena is thread-local: each simulation runs on one thread, and
 // sim::parallelFor (parallel.hpp) runs several whole simulations at once,
@@ -46,7 +50,7 @@ class FrameArena {
     std::uint64_t allocs = 0;       // total allocate() calls
     std::uint64_t poolHits = 0;     // served from a free list
     std::uint64_t oversized = 0;    // fell through to operator new
-    std::size_t slabBytes = 0;      // reserved slab storage
+    std::size_t slabBytes = 0;      // reserved slab storage (never freed)
     std::size_t liveBytes = 0;      // currently outstanding frame bytes
   };
 
@@ -94,15 +98,32 @@ class FrameArena {
   struct FreeBlock {
     FreeBlock* next;
   };
+  // Header in the first kGranularity bytes of every slab.
+  struct Slab {
+    Slab* prev = nullptr;  // in its class's partial list
+    Slab* next = nullptr;  // in its class's partial list, or the empty pool
+    FreeBlock* free = nullptr;  // this slab's freed blocks
+    char* bump = nullptr;       // first never-carved block
+    std::uint32_t live = 0;     // blocks handed out
+    bool partial = false;       // linked in partials_[class]
+  };
+  static_assert(sizeof(Slab) <= kGranularity);
 
-  void* refill(std::size_t cls);
+  static Slab* slabOf(void* p) {
+    return reinterpret_cast<Slab*>(reinterpret_cast<std::uintptr_t>(p) &
+                                   ~(std::uintptr_t{kSlabBytes} - 1));
+  }
+  /// A slab for class `cls` (from the empty pool, or fresh), linked at the
+  /// head of the class's partial list.
+  Slab* newSlab(std::size_t cls);
+  void linkPartial(Slab* s, std::size_t cls);
+  void unlinkPartial(Slab* s, std::size_t cls);
   void auditOnAllocate(const void* p);
   void auditOnDeallocate(const void* p) noexcept;
 
-  FreeBlock* freeLists_[kMaxClasses] = {};
-  std::vector<char*> slabs_;
-  char* slabCursor_ = nullptr;
-  std::size_t slabRemaining_ = 0;
+  Slab* partials_[kMaxClasses] = {};  // slabs with a free block, per class
+  Slab* empty_ = nullptr;             // fully free slabs, any class
+  std::vector<Slab*> slabs_;          // every slab, for the destructor
   Stats stats_;
 
   bool auditing_ = false;

@@ -14,9 +14,9 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <source_location>
 
+#include "simcore/fifo.hpp"
 #include "simcore/scheduler.hpp"
 #include "simcore/simcheck.hpp"
 
@@ -103,7 +103,7 @@ class Resource {
   std::int64_t available_;
   std::int64_t total_;
   const char* name_;
-  std::deque<Waiter*> waiters_;
+  Fifo<Waiter*> waiters_;  // no allocation until the first waiter queues
 };
 
 /// RAII helper: acquire then release on scope exit.

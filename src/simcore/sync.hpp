@@ -4,6 +4,7 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <source_location>
 #include <vector>
 
 #include "simcore/scheduler.hpp"
@@ -47,8 +48,18 @@ class Gate {
   std::vector<std::coroutine_handle<>> waiters_;
 };
 
-/// Cyclic barrier for `parties` processes. The last arrival releases all and
-/// the barrier resets for the next round.
+/// Cyclic barrier for `parties` processes with a two-stage wake: every
+/// party resumes `then` seconds after the last one arrives.
+///
+/// A party that does not complete the round parks its handle. The last
+/// arrival calls release(), which queues one release event per parked
+/// party (kBarrierRelease, label "barrier"). That event does not resume
+/// the party: it requeues it `then` seconds later with the caller's source
+/// location, which is the same time, sequence number and wake edge a
+/// resumed party's own `co_await delay(then)` would produce. The last
+/// arrival queues its own resume after the releases, so the event stream
+/// matches arrive-then-delay exactly while the party needs no coroutine
+/// frame of its own for the delay (mpisim's collectives rely on this).
 class Barrier {
  public:
   Barrier(Scheduler& sched, std::size_t parties)
@@ -61,37 +72,38 @@ class Barrier {
   std::size_t parties() const { return parties_; }
   std::size_t arrived() const { return waiters_.size(); }
 
-  [[nodiscard]] auto arriveAndWait() {
-    struct Awaiter {
-      Barrier& bar;
-      bool await_ready() {
-        // The final arrival does not suspend; it releases everyone before
-        // proceeding, which also resets the barrier for the next round.
-        if (bar.waiters_.size() + 1 == bar.parties_) {
-          bar.releaseAll();
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        bar.waiters_.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
+  /// True when one more arrival completes the round.
+  bool completesRound() const { return waiters_.size() + 1 == parties_; }
+
+  /// An arriving party that does not complete the round waits here.
+  void park(std::coroutine_handle<> h) {
+    SIM_DCHECK(!completesRound(), "the last arrival must release instead");
+    waiters_.push_back(h);
+  }
+
+  /// Complete the round from its last arrival `last`: wake every parked
+  /// party (two-stage, see above) and queue `last`, all `then` seconds
+  /// from now. The barrier is reset for the next round.
+  void release(std::coroutine_handle<> last, Duration then,
+               std::source_location loc = std::source_location::current()) {
+    then_ = then;
+    loc_ = loc;
+    for (auto h : waiters_)
+      sched_.scheduleCall(
+          0.0, [this, h] { sched_.scheduleResume(then_, h, loc_); },
+          WakeEdge{WakeKind::kBarrierRelease, "barrier"});
+    waiters_.clear();
+    sched_.scheduleResume(then, last, loc);
   }
 
  private:
-  void releaseAll() {
-    for (auto h : waiters_)
-      sched_.scheduleResume(0.0, h,
-                            WakeEdge{WakeKind::kBarrierRelease, "barrier"});
-    waiters_.clear();
-  }
-
   Scheduler& sched_;
   std::size_t parties_;
   std::vector<std::coroutine_handle<>> waiters_;
+  // The round's delay and site, read by its release events. Safe to keep
+  // here: the next round cannot complete before every party has resumed.
+  Duration then_ = 0.0;
+  std::source_location loc_;
 };
 
 /// Fork/join counter: `add()` before spawning work, `done()` when each piece

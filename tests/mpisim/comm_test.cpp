@@ -191,6 +191,39 @@ TEST(MpiComm, BcastDeliversRootMessage) {
   EXPECT_EQ(received, 256);
 }
 
+TEST(MpiComm, BcastResultSurvivesTheRootsNextBcast) {
+  // The root arrives last in round 1, so it resumes first and enters
+  // round 2 (writing its next message) before the other ranks have
+  // resumed from round 1: each round's result must be its own.
+  Job job(256);
+  int checked = 0;
+  job.run([&checked](Comm comm) -> Task<> {
+    if (comm.rank() == 7) co_await comm.scheduler().delay(1e-3);
+    for (sim::Bytes round = 1; round <= 3; ++round) {
+      const Message mine = Message::ofSize(round * 100);
+      const Message out = co_await comm.bcast(7, mine);
+      EXPECT_EQ(out.size, round * 100) << "rank " << comm.rank();
+      ++checked;
+    }
+  });
+  EXPECT_EQ(checked, 3 * 256);
+}
+
+TEST(MpiCommDeathTest, MismatchedCollectivesAbort) {
+  EXPECT_DEATH(
+      {
+        Job job(256);
+        job.run([](Comm comm) -> Task<> {
+          if (comm.rank() == 0) {
+            co_await comm.barrier();
+          } else {
+            co_await comm.allReduceSum(1.0);
+          }
+        });
+      },
+      "ranks entered different collectives");
+}
+
 TEST(MpiComm, AllGatherCollectsEveryValue) {
   Job job(256);
   job.run([](Comm comm) -> Task<> {

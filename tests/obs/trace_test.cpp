@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -12,6 +15,8 @@
 #include "obs/obs.hpp"
 #include "simcore/scheduler.hpp"
 #include "simcore/task.hpp"
+
+#include <unistd.h>
 
 namespace bgckpt::obs {
 namespace {
@@ -186,6 +191,30 @@ TEST(Observability, FinalizeIsIdempotent) {
   EXPECT_DOUBLE_EQ(obs.metrics().gauge("net.ion.utilization").value(), 0.25);
   EXPECT_DOUBLE_EQ(obs.metrics().gauge("sim.horizon_seconds").value(), 10.0);
   EXPECT_EQ(sink->finalizes, 1);
+}
+
+TEST(Observability, MessagePairsRecordedOnlyForMetricsExport) {
+  Observability quiet;
+  quiet.message(1, 2, 4096, 0.0, 1e-3);
+  EXPECT_TRUE(quiet.metrics().pairs().empty());
+
+  const std::filesystem::path json =
+      std::filesystem::temp_directory_path() /
+      ("obs_pairs_" + std::to_string(::getpid()) + ".json");
+  {
+    Observability exported;
+    exported.exportOnDestroy(json.string(), "");
+    exported.message(1, 2, 4096, 0.0, 1e-3);
+    exported.message(1, 2, 4096, 0.0, 2e-3);
+    ASSERT_EQ(exported.metrics().pairs().size(), 1u);
+  }
+  std::ifstream in(json);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::filesystem::remove(json);
+  const auto doc = json::parse(text);
+  ASSERT_TRUE(doc.has_value()) << text;
+  EXPECT_DOUBLE_EQ(doc->numberOr("mpiPairsTotal", 0), 1.0);
 }
 
 TEST(Observability, SchedulerProbeCountsRootsAndEvents) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
+
+#include "simcore/fifo.hpp"
 
 namespace bgckpt::sim {
 namespace {
@@ -140,6 +143,80 @@ TEST(Resource, QueueLengthTracksWaiters) {
   sched.run();
   EXPECT_EQ(res.queueLength(), 0u);
   EXPECT_EQ(sched.liveRoots(), 0u);
+}
+
+TEST(Resource, FifoOrderAndQueueLengthHoldAcrossCompaction) {
+  // 100 users queue at t=0 and one more arrives every 0.5 s for 100 s,
+  // while grants run at 1/s: the wait queue grows to ~150, never drains
+  // until the end, and compacts its popped prefix along the way.
+  Scheduler sched;
+  Resource res(sched, 1);
+  int arrived = 0;
+  int granted = 0;
+  std::vector<int> grantOrder;
+  auto user = [&](int id) -> Task<> {
+    ++arrived;
+    co_await res.acquire();
+    ++granted;
+    grantOrder.push_back(id);
+    co_await sched.delay(1.0);
+    res.release();
+  };
+  int next = 0;
+  for (; next < 100; ++next) sched.spawn(user(next));
+  auto feeder = [&]() -> Task<> {
+    for (int k = 0; k < 200; ++k) {
+      co_await sched.delay(0.5);
+      sched.spawn(user(next++));
+    }
+  };
+  sched.spawn(feeder());
+  // Between grants (at whole seconds) nothing is in flight, so every
+  // arrived-but-ungranted user must be in the queue.
+  std::size_t samples = 0;
+  for (int k = 0; k < 300; ++k)
+    sched.scheduleCall(k + 0.25, [&] {
+      EXPECT_EQ(res.queueLength(),
+                static_cast<std::size_t>(arrived - granted))
+          << "at t=" << sched.now();
+      ++samples;
+    });
+  sched.run();
+  EXPECT_EQ(samples, 300u);
+  ASSERT_EQ(grantOrder.size(), 300u);
+  for (int i = 0; i < 300; ++i)
+    EXPECT_EQ(grantOrder[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(res.queueLength(), 0u);
+  EXPECT_EQ(sched.liveRoots(), 0u);
+}
+
+TEST(Fifo, EraseAndPopKeepArrivalOrderAcrossCompaction) {
+  Fifo<int> q;
+  std::vector<int> model;
+  int next = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (int k = 0; k < 7; ++k) {
+      q.push_back(next);
+      model.push_back(next++);
+    }
+    for (int k = 0; k < 5; ++k) {
+      q.pop_front();
+      model.erase(model.begin());
+    }
+    // Erase one from the middle, as a mailbox match does.
+    auto it = q.begin() + static_cast<std::ptrdiff_t>(q.size() / 2);
+    const int gone = *it;
+    q.erase(it);
+    model.erase(std::find(model.begin(), model.end(), gone));
+    ASSERT_EQ(q.size(), model.size());
+    ASSERT_TRUE(std::equal(q.begin(), q.end(), model.begin()));
+  }
+  while (!q.empty()) {
+    EXPECT_EQ(q.front(), model.front());
+    q.pop_front();
+    model.erase(model.begin());
+  }
+  EXPECT_TRUE(model.empty());
 }
 
 TEST(Mutex, ProvidesMutualExclusion) {

@@ -5,8 +5,10 @@
 #include "simcore/arena.hpp"
 #include "simcore/sync.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -286,6 +288,50 @@ TEST(FrameArena, CoroutineFramesHitThePool) {
   const std::uint64_t hits = stats.poolHits - hits0;
   EXPECT_GE(allocs, 128u);  // every frame went through the arena
   EXPECT_GE(hits * 2, allocs);  // at least the second wave recycled
+}
+
+TEST(FrameArena, FreedSlabsServeOtherSizeClasses) {
+#if BGCKPT_ARENA_PASSTHROUGH
+  GTEST_SKIP() << "arena passthrough active (sanitizer build): no slabs";
+#endif
+  // A wave of 576-B frames, all freed, then a wave of 896-B frames: the
+  // second wave must reuse the first wave's slabs instead of reserving
+  // the sum of both classes' peaks.
+  constexpr std::size_t kFrames = 2048;
+  const auto wave = [](FrameArena& arena, std::size_t bytes,
+                       std::vector<void*>& out) {
+    for (std::size_t i = 0; i < kFrames; ++i) {
+      void* p = arena.allocate(bytes);
+      std::memset(p, 0xab, bytes);  // the block must really be usable
+      out.push_back(p);
+    }
+  };
+  std::size_t oneSlab = 0;
+  std::size_t only896 = 0;
+  {
+    FrameArena single;
+    single.deallocate(single.allocate(64), 64);
+    oneSlab = single.stats().slabBytes;
+    FrameArena probe;
+    std::vector<void*> frames;
+    wave(probe, 896, frames);
+    only896 = probe.stats().slabBytes;
+    for (void* p : frames) probe.deallocate(p, 896);
+  }
+  FrameArena arena;
+  std::vector<void*> frames;
+  wave(arena, 576, frames);
+  const std::size_t only576 = arena.stats().slabBytes;
+  for (void* p : frames) arena.deallocate(p, 576);
+  frames.clear();
+  wave(arena, 896, frames);
+  // The 576-B class keeps one slab as its cache; the rest went back.
+  EXPECT_LE(arena.stats().slabBytes, only896 + oneSlab);
+  EXPECT_LT(arena.stats().slabBytes, only576 + only896 - oneSlab);
+  std::sort(frames.begin(), frames.end());
+  EXPECT_EQ(std::adjacent_find(frames.begin(), frames.end()), frames.end());
+  for (void* p : frames) arena.deallocate(p, 896);
+  EXPECT_EQ(arena.stats().liveBytes, 0u);
 }
 
 TEST(FrameArena, LiveBytesReturnToWatermarkAfterRun) {

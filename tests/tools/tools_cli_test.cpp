@@ -400,6 +400,35 @@ TEST(BenchFlagsCli, ThreadsRejectsMalformedValues) {
   }
 }
 
+TEST(BenchFlagsCli, UnknownArgumentExitsTwoWithUsage) {
+  // A misspelt flag used to run the whole bench serially and exit 0.
+  for (const char* arg : {"--thredas=4", "--thredas", "--max-np=16384",
+                          "stray", "-x"}) {
+    const auto r = run(eq27Bin() + " " + arg);
+    EXPECT_EQ(r.exitCode, 2) << arg << "\n" << r.output;
+    EXPECT_NE(r.output.find(std::string("error: unknown argument '") + arg +
+                            "'"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("usage: eq27_speedup_model"), std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("SHAPE CHECK"), std::string::npos) << r.output;
+  }
+  // A trailing path flag with no path is a bad value, not an unknown flag.
+  const auto trailing = run(eq27Bin() + " --metrics");
+  EXPECT_EQ(trailing.exitCode, 2) << trailing.output;
+  EXPECT_NE(trailing.output.find("error: --metrics:"), std::string::npos)
+      << trailing.output;
+}
+
+TEST(BenchFlagsCli, HelpListsTheBenchOwnFlags) {
+  const auto r = run(benchBin("production_campaign") + " --help");
+  EXPECT_EQ(r.exitCode, 0) << r.output;
+  for (const char* flag : {"--threads N", "--np N", "--steps N", "--every N"})
+    EXPECT_NE(r.output.find(flag), std::string::npos) << flag << r.output;
+  EXPECT_EQ(r.output.find("SHAPE CHECK"), std::string::npos) << r.output;
+}
+
 TEST(BenchFlagsCli, ThreadsAcceptsPositiveInteger) {
   const auto r = run(eq27Bin() + " --threads=2");
   EXPECT_EQ(r.exitCode, 0) << r.output;
