@@ -1,15 +1,12 @@
 #include "common.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -18,6 +15,7 @@
 #include "simcore/parallel.hpp"
 
 #include "obs/attr.hpp"
+#include "obs/cli.hpp"
 #include "obs/critpath.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/optrace.hpp"
@@ -37,7 +35,7 @@ std::string gAttrPath;
 std::string gCritPathPath;
 std::string gTelemetryPath;
 double gTelemetryDt = 0.0;  // 0 = Telemetry::kDefaultDt
-std::size_t gFlightRecEvents = 0;
+int gFlightRecEvents = 0;
 bool gOpTraceEnabled = false;
 std::string gOpTracePath;
 std::uint32_t gOpTraceSampleEvery = 0;  // 0 = OpTracer::kDefaultSampleEvery
@@ -58,10 +56,10 @@ std::vector<std::string> gCmdArgs;
 // (bench, args) and stamp the rev as "unknown".
 std::string gGitRev;
 std::string gConfigHash;
-// The harness's own flags, declared to obsInit and parsed by intFlag.
-std::vector<std::string> gBenchFlags;
-sim::SimCheckMode gSimCheckMode = sim::SimCheckMode::kAuto;
-unsigned gThreads = 1;
+// The flags given on the command line, listed in every manifest.
+std::vector<std::string> gGivenFlags;
+int gSimCheck = -1;  // index into {on, warn, off}; -1 = absent (kAuto)
+int gThreads = 1;
 int gStacksAttached = 0;
 // Keep attached recorders alive past their stacks so a SHAPE CHECK failure
 // at report time can still dump what each run was doing (the global
@@ -146,18 +144,7 @@ void writeManifest(const std::string& artifactPath, const char* artifact,
   info.bucketDt = gTelemetryDt > 0 ? gTelemetryDt : obs::Telemetry::kDefaultDt;
   info.gitRev = gGitRev;
   info.configHash = gConfigHash;
-  const auto flag = [&](const char* name, bool active) {
-    if (active) info.flags.emplace_back(name);
-  };
-  flag("--trace", !gTracePath.empty());
-  flag("--metrics", !gMetricsPath.empty());
-  flag("--attr", !gAttrPath.empty());
-  flag("--critpath", !gCritPathPath.empty());
-  flag("--telemetry", !gTelemetryPath.empty());
-  flag("--optrace", gOpTraceEnabled);
-  flag("--obs-dir", !gObsDir.empty());
-  flag("--flightrec", gFlightRecEvents > 0);
-  flag("--runtime-profile", !gRuntimeProfPath.empty());
+  info.flags = gGivenFlags;
   info.args = gCmdArgs;
   if (!obs::writeArtifactManifest(artifactPath, info)) {
     std::fprintf(stderr, "error: cannot write manifest for %s\n",
@@ -166,76 +153,14 @@ void writeManifest(const std::string& artifactPath, const char* artifact,
   }
 }
 
-/// A malformed flag value exits 2 rather than silently running with a
-/// default the user did not ask for.
-[[noreturn]] void badValue(const char* flag, const char* expected,
-                           const char* text) {
-  std::fprintf(stderr, "error: %s: expected %s, got '%s'\n", flag, expected,
-               text);
-  std::exit(2);
-}
-
-/// Integer flag values: plain decimal digits spelling an integer >= 1 that
-/// fits an int, nothing else.
-int parseCount(const char* flag, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const long n = std::strtol(text, &end, 10);
-  if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
-      n < 1 || n > std::numeric_limits<int>::max())
-    badValue(flag, "an integer >= 1", text);
-  return static_cast<int>(n);
-}
-
-/// Real flag values: a finite decimal number > 0 (no sign, no inf/nan).
-double parsePositive(const char* flag, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text, &end);
-  if (((*text < '0' || *text > '9') && *text != '.') || *end != '\0' ||
-      errno == ERANGE || !std::isfinite(v) || v <= 0.0)
-    badValue(flag, "a number > 0", text);
-  return v;
-}
-
-/// The flag summary printed by --help and after an unknown argument.
-void usage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: %s [--threads N] [--simcheck[=on|warn|off]]\n"
-               "  [--trace FILE] [--metrics FILE] [--perf-json FILE]"
-               " [--attr FILE]\n"
-               "  [--critpath FILE] [--telemetry[=DT] FILE]"
-               " [--optrace[=RATE] [FILE]]\n"
-               "  [--obs-dir DIR] [--flightrec[=N]]"
-               " [--runtime-profile[=FILE]]",
-               gBenchName.c_str());
-  for (const std::string& f : gBenchFlags)
-    std::fprintf(out, " [%s N]", f.c_str());
-  std::fprintf(out, "\n");
-}
-
-/// True when `arg` is one of the harness's own flags, as NAME or NAME=...
-bool isBenchFlag(const char* arg, bool* hasValue) {
-  for (const std::string& f : gBenchFlags) {
-    if (std::strncmp(arg, f.c_str(), f.size()) != 0) continue;
-    if (arg[f.size()] == '\0' || arg[f.size()] == '=') {
-      *hasValue = arg[f.size()] == '=';
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
-void obsInit(int argc, char** argv,
-             std::initializer_list<const char*> benchFlags) {
-  gBenchFlags.assign(benchFlags.begin(), benchFlags.end());
-  if (argc > 0) {
-    gBenchName = argv[0];
-    const auto slash = gBenchName.find_last_of('/');
-    if (slash != std::string::npos) gBenchName = gBenchName.substr(slash + 1);
-  }
+void obsInit(int argc, char** argv, std::vector<obs::cli::Flag> benchFlags) {
+  using obs::cli::Flag;
+  using obs::cli::Form;
+  using obs::cli::Kind;
+  using obs::cli::Operand;
+  if (argc > 0) gBenchName = obs::cli::programName(argv[0]);
   gCmdArgs.assign(argv + (argc > 0 ? 1 : 0), argv + argc);
   const char* rev = std::getenv("BGCKPT_GIT_REV");
   gGitRev = rev != nullptr && *rev != '\0' ? rev : "unknown";
@@ -252,101 +177,78 @@ void obsInit(int argc, char** argv,
     }
     gConfigHash = obs::hex16(obs::fnv1a64(material));
   }
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--trace") == 0 && i + 1 < argc) {
-      gTracePath = argv[++i];
-    } else if (std::strncmp(a, "--trace=", 8) == 0) {
-      gTracePath = a + 8;
-    } else if (std::strcmp(a, "--metrics") == 0 && i + 1 < argc) {
-      gMetricsPath = argv[++i];
-    } else if (std::strncmp(a, "--metrics=", 10) == 0) {
-      gMetricsPath = a + 10;
-    } else if (std::strcmp(a, "--perf-json") == 0 && i + 1 < argc) {
-      gPerfJsonPath = argv[++i];
-    } else if (std::strncmp(a, "--perf-json=", 12) == 0) {
-      gPerfJsonPath = a + 12;
-    } else if (std::strcmp(a, "--attr") == 0 && i + 1 < argc) {
-      gAttrPath = argv[++i];
-    } else if (std::strncmp(a, "--attr=", 7) == 0) {
-      gAttrPath = a + 7;
-    } else if (std::strcmp(a, "--critpath") == 0 && i + 1 < argc) {
-      gCritPathPath = argv[++i];
-    } else if (std::strncmp(a, "--critpath=", 11) == 0) {
-      gCritPathPath = a + 11;
-    } else if (std::strcmp(a, "--telemetry") == 0 && i + 1 < argc) {
-      gTelemetryPath = argv[++i];
-    } else if (std::strncmp(a, "--telemetry=", 12) == 0) {
-      // --telemetry=<dt> <file>: the value attached to the flag is the
-      // bucket width in simulated seconds; the output path follows.
-      gTelemetryDt = parsePositive("--telemetry", a + 12);
-      if (i + 1 >= argc)
-        badValue("--telemetry", "an output file after the bucket width", "");
-      gTelemetryPath = argv[++i];
-    } else if (std::strcmp(a, "--optrace") == 0) {
-      gOpTraceEnabled = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        gOpTracePath = argv[++i];
-    } else if (std::strncmp(a, "--optrace=", 10) == 0) {
-      // --optrace=RATE [file]: RATE > 1 means "every Nth request"; RATE in
-      // (0, 1] is a sampling probability converted to the nearest 1-in-N.
-      gOpTraceEnabled = true;
-      const double rate = parsePositive("--optrace", a + 10);
-      gOpTraceSampleEvery = static_cast<std::uint32_t>(std::round(
-          std::clamp(rate > 1.0 ? rate : 1.0 / rate, 1.0, 4294967295.0)));
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        gOpTracePath = argv[++i];
-    } else if (std::strcmp(a, "--runtime-profile") == 0) {
-      gRuntimeProfPath = "runtimeprof.json";
-    } else if (std::strncmp(a, "--runtime-profile=", 18) == 0) {
-      gRuntimeProfPath = a + 18;
-    } else if (std::strcmp(a, "--obs-dir") == 0 && i + 1 < argc) {
-      gObsDir = argv[++i];
-    } else if (std::strncmp(a, "--obs-dir=", 10) == 0) {
-      gObsDir = a + 10;
-    } else if (std::strcmp(a, "--flightrec") == 0) {
-      gFlightRecEvents = obs::FlightRecorder::kDefaultEvents;
-    } else if (std::strncmp(a, "--flightrec=", 12) == 0) {
-      gFlightRecEvents =
-          static_cast<std::size_t>(parseCount("--flightrec", a + 12));
-    } else if (std::strcmp(a, "--threads") == 0) {
-      gThreads = static_cast<unsigned>(
-          parseCount("--threads", i + 1 < argc ? argv[++i] : ""));
-    } else if (std::strncmp(a, "--threads=", 10) == 0) {
-      gThreads = static_cast<unsigned>(parseCount("--threads", a + 10));
-    } else if (std::strcmp(a, "--simcheck") == 0) {
-      gSimCheckMode = sim::SimCheckMode::kOn;
-    } else if (std::strncmp(a, "--simcheck=", 11) == 0) {
-      const char* mode = a + 11;
-      if (std::strcmp(mode, "on") == 0) {
-        gSimCheckMode = sim::SimCheckMode::kOn;
-      } else if (std::strcmp(mode, "warn") == 0) {
-        gSimCheckMode = sim::SimCheckMode::kWarn;
-      } else if (std::strcmp(mode, "off") == 0) {
-        gSimCheckMode = sim::SimCheckMode::kOff;
-      } else {
-        badValue("--simcheck", "on, warn or off", mode);
-      }
-    } else if (bool hasValue = false; isBenchFlag(a, &hasValue)) {
-      // intFlag parses (and validates) the value later.
-      if (!hasValue && i + 1 < argc) ++i;
-    } else if (std::strcmp(a, "--trace") == 0 ||
-               std::strcmp(a, "--metrics") == 0 ||
-               std::strcmp(a, "--perf-json") == 0 ||
-               std::strcmp(a, "--attr") == 0 ||
-               std::strcmp(a, "--critpath") == 0 ||
-               std::strcmp(a, "--telemetry") == 0 ||
-               std::strcmp(a, "--obs-dir") == 0) {
-      badValue(a, "a path after the flag", "");  // trailing, no value
-    } else if (std::strcmp(a, "--help") == 0) {
-      usage(stdout);
-      std::exit(0);
-    } else {
-      // A misspelt flag must not silently run the full bench with defaults.
-      std::fprintf(stderr, "error: unknown argument '%s'\n", a);
-      usage(stderr);
-      std::exit(2);
-    }
+  double opTraceRate = 0.0;  // 0 = OpTracer::kDefaultSampleEvery
+  std::vector<Flag> flags = {
+      Flag("--threads", Kind::kCount, &gThreads,
+           "simulate the points a harness hands to runSims on N worker "
+           "threads (1 = the serial reference); results, stdout and every "
+           "perf/obs artifact are byte-identical to the serial run"),
+      Flag("--simcheck", Kind::kEnum, &gSimCheck,
+           "run the invariant checker (simcore/simcheck.hpp) on every point; "
+           "without the flag the SIM_CHECK environment variable decides",
+           Form::kAttached)
+          .bareMeans("on")
+          .oneOf({"on", "warn", "off"}),
+      Flag("--trace", Kind::kPath, &gTracePath,
+           "stream a Chrome trace_event JSON to FILE (open it in Perfetto), "
+           "plus a .jsonl event log for trace_report; multi-stack harnesses "
+           "number the files (FILE.2.json, ...)"),
+      Flag("--metrics", Kind::kPath, &gMetricsPath,
+           "export the metrics registry as JSON to FILE, plus a CSV twin"),
+      Flag("--perf-json", Kind::kPath, &gPerfJsonPath,
+           "write one perf record per simulated run (wall seconds, events, "
+           "events/s) plus totals; gate two of them with perf_compare"),
+      Flag("--attr", Kind::kPath, &gAttrPath,
+           "export per-rank blocked-time attribution (obs/attr.hpp) as JSON "
+           "to FILE, plus a CSV twin"),
+      Flag("--critpath", Kind::kPath, &gCritPathPath,
+           "record the causal event graph and write the critical-path report "
+           "(obs/critpath.hpp) as JSON to FILE"),
+      Flag("--telemetry", Kind::kPositive, &gTelemetryDt,
+           "sample every telemetry probe into DT-second buckets (default "
+           "0.25 simulated s) and write the timeseries as JSON to FILE, plus "
+           "a CSV twin; render it with trace_report --timeline",
+           Form::kAttached, "DT")
+          .then(Operand::kPath, &gTelemetryPath),
+      Flag("--optrace", Kind::kPositive, &opTraceRate,
+           "trace every checkpoint write op from the issuing rank down to the "
+           "DDN commit (obs/optrace.hpp); RATE > 1 keeps every RATE-th "
+           "waterfall, RATE in (0,1] is a sampling probability (default 1 in "
+           "64; the slowest requests are always kept); FILE gets the report "
+           "for trace_report --waterfall",
+           Form::kAttached, "RATE")
+          .then(Operand::kOptionalPath, &gOpTracePath),
+      Flag("--obs-dir", Kind::kPath, &gObsDir,
+           "write every trace/metrics/attr/critpath/telemetry/optrace "
+           "artifact not given explicitly as DIR/<artifact>.json, creating "
+           "DIR first",
+           Form::kBoth, "DIR"),
+      Flag("--flightrec", Kind::kCount, &gFlightRecEvents,
+           "keep the last N (default 256) trace events per layer per stack; "
+           "invariant violations and failed shape checks dump them to stderr",
+           Form::kAttached)
+          .bareMeans(std::to_string(obs::FlightRecorder::kDefaultEvents)),
+      Flag("--runtime-profile", Kind::kPath, &gRuntimeProfPath,
+           "profile the point-level parallelism in real time "
+           "(obs/runtimeprof.hpp) and write it to FILE (default "
+           "runtimeprof.json) for trace_report --runtime; wall-clock, so "
+           "never byte-stable and never derived by --obs-dir",
+           Form::kAttached)
+          .bareMeans("runtimeprof.json"),
+  };
+  flags.insert(flags.end(), std::make_move_iterator(benchFlags.begin()),
+               std::make_move_iterator(benchFlags.end()));
+  obs::cli::Parser cli(gBenchName, {"[flags]"}, std::move(flags));
+  cli.parseOrExit(argc, argv);
+  gGivenFlags = cli.given();
+  gOpTraceEnabled = std::find(gGivenFlags.begin(), gGivenFlags.end(),
+                              "--optrace") != gGivenFlags.end();
+  if (opTraceRate > 0.0) {
+    // RATE > 1 means "every Nth request"; RATE in (0, 1] is a sampling
+    // probability converted to the nearest 1-in-N.
+    const double every = opTraceRate > 1.0 ? opTraceRate : 1.0 / opTraceRate;
+    gOpTraceSampleEvery = static_cast<std::uint32_t>(
+        std::round(std::clamp(every, 1.0, 4294967295.0)));
   }
   if (!gObsDir.empty()) {
     // One directory for the whole observability suite: every artifact not
@@ -390,24 +292,16 @@ void obsInit(int argc, char** argv,
   }
 }
 
-int intFlag(int argc, char** argv, const char* name, int fallback) {
-  if (std::find(gBenchFlags.begin(), gBenchFlags.end(), name) ==
-      gBenchFlags.end()) {
-    std::fprintf(stderr, "bench bug: %s was not declared to obsInit\n", name);
-    std::abort();
-  }
-  const std::size_t len = std::strlen(name);
-  int value = fallback;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0)
-      value = parseCount(name, i + 1 < argc ? argv[++i] : "");
-    else if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      value = parseCount(name, argv[i] + len + 1);
-  }
-  return value;
+obs::cli::Flag intFlag(const char* name, int* into, const char* help) {
+  return obs::cli::Flag(name, obs::cli::Kind::kCount, into, help);
 }
 
-sim::SimCheckMode simCheckMode() { return gSimCheckMode; }
+sim::SimCheckMode simCheckMode() {
+  using sim::SimCheckMode;
+  constexpr SimCheckMode kModes[] = {SimCheckMode::kOn, SimCheckMode::kWarn,
+                                     SimCheckMode::kOff};
+  return gSimCheck < 0 ? SimCheckMode::kAuto : kModes[gSimCheck];
+}
 
 void perfRecord(const std::string& label, double wallSeconds,
                 std::uint64_t events) {
@@ -415,7 +309,8 @@ void perfRecord(const std::string& label, double wallSeconds,
     gRuntimeProf->recordPoint(label, wallSeconds, events, gThreads);
   if (gPerfJsonPath.empty()) return;
   gPerfEntries.push_back(
-      PerfEntry{label, wallSeconds, events, gThreads, SimMeta{}});
+      PerfEntry{label, wallSeconds, events, static_cast<unsigned>(gThreads),
+                SimMeta{}});
 }
 
 namespace {
@@ -490,8 +385,8 @@ bool perfFlush() {
                totalWall, static_cast<unsigned long long>(totalEvents),
                totalEps);
   std::fclose(f);
-  std::printf("[perf] wrote %zu run records to %s\n", gPerfEntries.size(),
-              gPerfJsonPath.c_str());
+  std::fprintf(stderr, "[perf] wrote %zu run records to %s\n",
+               gPerfEntries.size(), gPerfJsonPath.c_str());
   return true;
 }
 
@@ -594,7 +489,7 @@ void attachObsNumbered(iolib::SimStack& stack, int n) {
       std::lock_guard<std::mutex> lock(gFlightRecMu);
       gFlightRecorders.push_back(stack.flightRecorder);
     }
-    std::fprintf(stderr, "[obs] flight recorder armed (%zu events/layer)\n",
+    std::fprintf(stderr, "[obs] flight recorder armed (%d events/layer)\n",
                  gFlightRecEvents);
   }
 }
@@ -714,7 +609,7 @@ std::vector<iolib::CheckpointResult> runSims(
   sim::parallelFor(points.size(), gThreads, [&](std::size_t i) {
     const SimPoint& p = points[i];
     iolib::SimStackOptions opt = p.stack;
-    opt.simcheck = gSimCheckMode;
+    opt.simcheck = simCheckMode();
     opt.flightRecorderEvents = gFlightRecEvents;
     iolib::SimStack stack(p.np, opt);
     if (obs) attachObsNumbered(stack, base + static_cast<int>(i) + 1);

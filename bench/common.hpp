@@ -12,12 +12,12 @@
 
 #include <chrono>
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "analysis/ascii.hpp"
 #include "iolib/strategies.hpp"
+#include "obs/cli.hpp"
 #include "simcore/simcheck.hpp"
 
 namespace bgckpt::bench {
@@ -37,88 +37,20 @@ int reportChecks(const std::vector<Check>& checks);
 std::string gbs(double bytesPerSecond);
 std::string secs(double seconds);
 
-/// Parse observability flags from the harness command line:
-///   --trace <file>     stream a Chrome trace_event JSON there (open the
-///                      file in Perfetto / chrome://tracing), plus a
-///                      <file>.jsonl event log for tools/trace_report
-///   --metrics <file>   export the metrics registry as JSON there, plus a
-///                      CSV twin (.json suffix swapped for .csv)
-///   --perf-json <file> write a machine-readable perf record there: one
-///                      entry per simulated run (wall seconds, events
-///                      processed, events/sec) plus totals. Feed two of
-///                      these to tools/perf_compare to gate regressions.
-///   --simcheck[=MODE]  enable the runtime invariant checker on every
-///                      runSims point (MODE: on [default], warn, off; see
-///                      simcore/simcheck.hpp). Harnesses that build their
-///                      own SimStack pass simCheckMode() or honour the
-///                      SIM_CHECK environment variable.
-///   --attr <file>      export per-rank blocked-time attribution there as
-///                      JSON, plus a CSV twin (obs/attr.hpp). Announce
-///                      lines go to stderr, so figure stdout is unchanged.
-///   --critpath <file>  record the causal event graph and write the
-///                      critical-path report there as JSON (obs/critpath.hpp)
-///   --telemetry[=DT] <file>
-///                      sample every registered telemetry probe into
-///                      DT-second buckets (default obs::Telemetry::
-///                      kDefaultDt) and write the timeseries there as JSON,
-///                      plus a CSV twin. Feed the JSON to `trace_report
-///                      --timeline` for utilization heatmaps and
-///                      server-imbalance stats. Announce lines go to
-///                      stderr; figure stdout is byte-identical.
-///   --optrace[=RATE] [file]
-///                      per-request causal tracing (obs/optrace.hpp): every
-///                      checkpoint write op carries a span context from the
-///                      issuing rank down to the DDN commit. RATE > 1 keeps
-///                      every RATE-th waterfall, RATE in (0,1] is a sampling
-///                      probability (default 1 in 64; the slowest requests
-///                      are always kept). With a file, the hop-percentile
-///                      tables, lineage trees, and tail waterfalls are
-///                      exported as JSON for `trace_report --waterfall`.
-///                      Announce lines go to stderr; figure stdout is
-///                      byte-identical with tracing on.
-///   --obs-dir DIR      derive every observability artifact path not given
-///                      explicitly (trace/metrics/attr/critpath/telemetry/
-///                      optrace + their manifests) as DIR/<artifact>.json,
-///                      creating DIR first. Explicit flags win.
-///   --flightrec[=N]    keep a flight recorder of the last N (default 256)
-///                      trace events per layer per stack; SimChecker
-///                      violations and failed SHAPE CHECKs dump it to stderr
-///   --runtime-profile[=FILE]
-///                      real-time execution profile of the point-level
-///                      parallelism (obs/runtimeprof.hpp): per-parallelFor-
-///                      job walls with point labels and per-point wall
-///                      records. FILE defaults to runtimeprof.json; written
-///                      at perfFlush with a manifest sidecar. Feed it to
-///                      `trace_report --runtime`. Wall-clock by nature, so
-///                      the JSON is NOT byte-stable across runs — it is
-///                      deliberately not derived by --obs-dir and excluded
-///                      from artifact identity comparisons. Figure stdout
-///                      stays byte-identical with profiling on (announce
-///                      lines go to stderr).
-///   --threads=N        simulate the points a harness hands to runSims on N
-///                      worker threads (default 1 = the serial reference;
-///                      `--threads N` also works). Results, stdout, and
-///                      every perf/obs artifact are byte-identical to the
-///                      serial run (see runSims).
-/// Every file-producing flag also writes a `<file>.manifest.json` sidecar
-/// (schema version, bench name, np, flag set) that tools/trace_report
-/// validates before parsing. Every announce line goes to stderr, so figure
-/// stdout depends on neither the flags nor the thread count. A malformed
-/// flag value (`--threads=0`, `--simcheck=bogus`, `--flightrec=abc`, ...)
-/// prints `error: --flag: ...` and exits 2. `benchFlags` names the
-/// harness's own integer flags (read with intFlag). Any other argument
-/// prints `error: unknown argument '...'` plus the usage and exits 2;
-/// `--help` prints the usage and exits 0.
+/// Parse the harness command line: the threading and observability flags
+/// every harness shares, plus the harness's own `benchFlags` (intFlag).
+/// `--help` prints each flag with its help text and exits 0. A malformed
+/// value prints `error: --flag: ...` and exits 2; an unknown argument also
+/// prints the usage and exits 2. Every file-producing flag writes a
+/// `<file>.manifest.json` sidecar (schema, bench, np, the flags given) that
+/// trace_report validates. Every announce line goes to stderr, so figure
+/// stdout depends on neither the flags nor the thread count.
 void obsInit(int argc, char** argv,
-             std::initializer_list<const char*> benchFlags = {});
+             std::vector<obs::cli::Flag> benchFlags = {});
 
-/// Value of a harness-specific integer flag given as `NAME N` or `NAME=N`;
-/// `fallback` when the flag is absent. NAME must be one of the
-/// `benchFlags` given to obsInit. The value must be plain decimal
-/// digits spelling an integer >= 1 (the same rule as --threads); anything
-/// else, including a trailing NAME with no value, prints
-/// `error: NAME: ...` and exits 2.
-int intFlag(int argc, char** argv, const char* name, int fallback);
+/// A harness's own integer flag for obsInit: `NAME N` or `NAME=N`, an
+/// integer >= 1. `*into` holds the default and receives the value.
+obs::cli::Flag intFlag(const char* name, int* into, const char* help);
 
 /// Wall-clock stopwatch for benchmark harnesses. Lives in bench/common on
 /// purpose: srclint's wall-clock rule bans host clocks everywhere else in

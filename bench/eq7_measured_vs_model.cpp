@@ -63,8 +63,10 @@ void printPhaseTable(const char* label,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bgckpt::bench::obsInit(argc, argv, {"--np"});
-  const int np = intFlag(argc, argv, "--np", 4096);
+  int np = 4096;
+  bgckpt::bench::obsInit(
+      argc, argv,
+      {intFlag("--np", &np, "ranks to simulate: a multiple of 64, >= 128")});
   if (np < 128 || np % 64 != 0) {
     std::fprintf(stderr, "error: --np must be a multiple of 64, >= 128\n");
     return 2;

@@ -11,11 +11,13 @@ using namespace bgckpt;
 using namespace bgckpt::bench;
 
 int main(int argc, char** argv) {
-  bgckpt::bench::obsInit(argc, argv, {"--max-np"});
-  // --max-np N: smoke mode for slow (sanitizer) builds — run only the
-  // scales up to N. Shape checks need all three scales, so they are
-  // skipped; the run still exercises every approach end-to-end.
-  const int maxNp = intFlag(argc, argv, "--max-np", 65536);
+  int maxNp = 65536;
+  bgckpt::bench::obsInit(
+      argc, argv,
+      {intFlag("--max-np", &maxNp,
+               "smoke mode for slow (sanitizer) builds: run only the scales "
+               "up to N; the shape checks need all three, so they are "
+               "skipped")});
   banner("Figure 5 - write performance with NekCEM on Intrepid GPFS",
          "Bandwidth = total data / wall time of the slowest processor.");
 

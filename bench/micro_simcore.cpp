@@ -4,7 +4,6 @@
 
 #include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
-#include "simcore/channel.hpp"
 #include "simcore/random.hpp"
 #include "simcore/resource.hpp"
 #include "simcore/scheduler.hpp"
@@ -38,31 +37,6 @@ void BM_SpawnCoroutines(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SpawnCoroutines)->Arg(1 << 10)->Arg(1 << 14);
-
-void BM_PingPongChannel(benchmark::State& state) {
-  const auto rounds = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Scheduler sched;
-    Channel<int> ab(sched), ba(sched);
-    auto ping = [](Channel<int>& out, Channel<int>& in, int n) -> Task<> {
-      for (int i = 0; i < n; ++i) {
-        out.push(i);
-        co_await in.recv();
-      }
-    };
-    auto pong = [](Channel<int>& in, Channel<int>& out, int n) -> Task<> {
-      for (int i = 0; i < n; ++i) {
-        co_await in.recv();
-        out.push(i);
-      }
-    };
-    sched.spawn(ping(ab, ba, rounds));
-    sched.spawn(pong(ab, ba, rounds));
-    sched.run();
-  }
-  state.SetItemsProcessed(state.iterations() * rounds * 2);
-}
-BENCHMARK(BM_PingPongChannel)->Arg(1 << 12);
 
 void BM_ResourceContention(benchmark::State& state) {
   const auto waiters = static_cast<int>(state.range(0));

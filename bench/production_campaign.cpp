@@ -20,10 +20,14 @@ using namespace bgckpt;
 using namespace bgckpt::bench;
 
 int main(int argc, char** argv) {
-  bgckpt::bench::obsInit(argc, argv, {"--np", "--steps", "--every"});
-  const int np = intFlag(argc, argv, "--np", 16384);
-  const int steps = intFlag(argc, argv, "--steps", 60);
-  const int every = intFlag(argc, argv, "--every", 20);
+  int np = 16384;
+  int steps = 60;
+  int every = 20;
+  bgckpt::bench::obsInit(
+      argc, argv,
+      {intFlag("--np", &np, "ranks to simulate: a multiple of 64"),
+       intFlag("--steps", &steps, "solver steps in the campaign"),
+       intFlag("--every", &every, "checkpoint every N steps")});
   if (np < 64 || np % 64 != 0 || steps < 1 || every < 1) {
     std::fprintf(stderr,
                  "production_campaign: need --np >= 64 (multiple of 64), "

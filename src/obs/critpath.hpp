@@ -5,7 +5,7 @@
 // Resource::release schedules the admitted waiter; a delivered message
 // schedules the matched receiver). The scheduler reports each edge through
 // SchedulerHooks::onEventScheduled, annotated with a WakeKind and a label —
-// the Resource name for grants, "barrier"/"channel"/"mpi-deliver" for the
+// the Resource name for grants, "barrier"/"mpi-deliver" for the
 // sync primitives, and the scheduling site's file name for plain delays
 // (which is where simulated time actually elapses: torus.cpp for network
 // hops, fabric.cpp for storage service, parallel_fs.cpp for fs costs...).

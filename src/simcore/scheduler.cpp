@@ -278,7 +278,6 @@ const char* wakeKindName(WakeKind kind) {
     case WakeKind::kResourceGrant: return "resource_grant";
     case WakeKind::kGateFire: return "gate_fire";
     case WakeKind::kBarrierRelease: return "barrier_release";
-    case WakeKind::kChannelPush: return "channel_push";
     case WakeKind::kMessageDeliver: return "message_deliver";
     case WakeKind::kCallback: return "callback";
   }

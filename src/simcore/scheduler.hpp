@@ -4,16 +4,16 @@
 // callbacks or coroutine resumptions. Simulated processes are `Task<>`
 // coroutines started with `spawn`; they advance simulated time by awaiting
 // `delay(dt)` and interact through the synchronisation primitives in
-// channel.hpp / resource.hpp, all of which route wakeups through this queue
+// sync.hpp / resource.hpp, all of which route wakeups through this queue
 // so that execution order is deterministic: (time, insertion sequence).
 //
 // Event storage is tiered for throughput (the queue is the hot path that
 // bounds how large a machine the figure benches can afford):
 //
 //   tier 0  "now" FIFO     events at exactly the current time — the wakeups
-//                          scheduled by Resource::release, Channel::push,
-//                          Gate::fire and Barrier release. Pushed and popped
-//                          in O(1) with no comparisons.
+//                          scheduled by Resource::release, Gate::fire and
+//                          Barrier release. Pushed and popped in O(1) with
+//                          no comparisons.
 //   tier 1  near ring      a window of 256 time buckets. Events whose time
 //                          falls inside the window append in O(1); a bucket
 //                          is sorted once, when it becomes the active
@@ -65,11 +65,10 @@ enum class WakeKind : std::uint8_t {
   kResourceGrant,    // Resource::release admitted a queued waiter
   kGateFire,         // Gate::fire / WaitGroup completion
   kBarrierRelease,   // last Barrier arrival released the waiters
-  kChannelPush,      // Channel delivered an item / woke a sender
   kMessageDeliver,   // mpisim matched a message to a posted receive
   kCallback,         // scheduleCall timer/completion callback
 };
-inline constexpr int kNumWakeKinds = 8;
+inline constexpr int kNumWakeKinds = 7;
 
 const char* wakeKindName(WakeKind kind);
 

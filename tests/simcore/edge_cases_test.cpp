@@ -1,7 +1,6 @@
 // Edge cases and lifetime semantics of the DES kernel.
 #include <gtest/gtest.h>
 
-#include "simcore/channel.hpp"
 #include "simcore/resource.hpp"
 #include "simcore/scheduler.hpp"
 #include "simcore/sync.hpp"
@@ -33,34 +32,6 @@ TEST(EdgeCases, RunTwiceContinuesWhereItStopped) {
   sched.run();
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(sched.now(), 2.0);
-}
-
-TEST(EdgeCases, ChannelCapacityOneBehavesLikeRendezvousBuffer) {
-  Scheduler sched;
-  Channel<int> ch(sched, 1);
-  std::vector<double> sendTimes;
-  auto producer = [](Scheduler& s, Channel<int>& c,
-                     std::vector<double>& out) -> Task<> {
-    for (int i = 0; i < 3; ++i) {
-      co_await c.send(i);
-      out.push_back(s.now());
-    }
-  };
-  auto consumer = [](Scheduler& s, Channel<int>& c) -> Task<> {
-    for (int i = 0; i < 3; ++i) {
-      co_await s.delay(1.0);
-      auto v = co_await c.recv();
-      EXPECT_EQ(v, i);
-    }
-  };
-  sched.spawn(producer(sched, ch, sendTimes));
-  sched.spawn(consumer(sched, ch));
-  sched.run();
-  ASSERT_EQ(sendTimes.size(), 3u);
-  EXPECT_DOUBLE_EQ(sendTimes[0], 0.0);  // buffered immediately
-  EXPECT_GE(sendTimes[1], 1.0);         // waits for the first drain
-  EXPECT_GE(sendTimes[2], 2.0);
-  EXPECT_EQ(sched.liveRoots(), 0u);
 }
 
 TEST(EdgeCases, ScopedTokensMoveTransfersOwnership) {

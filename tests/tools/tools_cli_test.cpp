@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifndef TOOLS_BIN_DIR
@@ -375,6 +376,10 @@ TEST(BenchFlagsCli, ThreadsRejectsMalformedValues) {
       {eq27Bin(), "--optrace", {"abc", "0", "-2", "inf", ""}, false, ""},
       {eq27Bin(), "--telemetry", {"abc", "0", "-1", "1s"}, false,
        " /dev/null"},
+      {eq27Bin(), "--telemetry", {"2"}, false, ""},  // no output file
+      {eq27Bin(), "--trace", {}, true, ""},
+      {eq27Bin(), "--perf-json", {}, true, ""},
+      {eq27Bin(), "--obs-dir", {}, true, ""},
       {benchBin("fig5_write_bandwidth"), "--max-np", {"16384x", "abc", "0"},
        true, ""},
       {benchBin("eq7_measured_vs_model"), "--np", {"256abc", "-64", ""}, true,
@@ -427,6 +432,25 @@ TEST(BenchFlagsCli, HelpListsTheBenchOwnFlags) {
   for (const char* flag : {"--threads N", "--np N", "--steps N", "--every N"})
     EXPECT_NE(r.output.find(flag), std::string::npos) << flag << r.output;
   EXPECT_EQ(r.output.find("SHAPE CHECK"), std::string::npos) << r.output;
+}
+
+TEST(BenchFlagsCli, PerfJsonLeavesStdoutUnchanged) {
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("perf_eq27_" + std::to_string(::getpid()) + ".json");
+  // The subshell keeps stderr (the announce lines) out of the capture.
+  const auto stdoutOf = [](const std::string& args) {
+    std::string cmd = "(";
+    cmd += eq27Bin();
+    cmd += args;
+    cmd += " 2>/dev/null)";
+    return run(cmd);
+  };
+  const auto plain = stdoutOf("");
+  const auto perf = stdoutOf(" --perf-json " + path.string());
+  std::filesystem::remove(path);
+  EXPECT_EQ(plain.exitCode, 0) << plain.output;
+  EXPECT_EQ(perf.exitCode, 0) << perf.output;
+  EXPECT_EQ(plain.output, perf.output);
 }
 
 TEST(BenchFlagsCli, ThreadsAcceptsPositiveInteger) {
@@ -638,6 +662,52 @@ TEST(PerfCompareCli, UsageAndMissingFilesExitTwo) {
                 " /nonexistent.json")
                 .exitCode,
             2);
+}
+
+// ---------------------------------------------------------------------------
+// All three tools parse their flags through the shared table: a malformed
+// number exits 2 instead of silently becoming 0 (or 1), and --help lists
+// each tool's flags.
+// ---------------------------------------------------------------------------
+
+TEST(ToolsCli, MalformedNumbersExitTwo) {
+  std::string reports = " ";
+  reports += fixture("perf_base_threads.json");
+  reports += " ";
+  reports += fixture("perf_parallel.json");
+  // The well-formed 100x gate fails; the malformed one must not drop it.
+  EXPECT_EQ(run(perfCompare() + reports + " --min-speedup 100").exitCode, 1);
+  TempLedger ledger;
+  for (const std::string& cmd :
+       {perfCompare() + reports + " --min-speedup=x100",
+        perfCompare() + reports + " --tolerance=abc",
+        traceReport() + " --campaign " + fixture("campaign_b") +
+            " --baseline " + fixture("campaign_a") + " --tolerance abc",
+        traceReport() + " " + fixture("trace_coio.jsonl") + " --bins 4x",
+        sweepBin() + " " + fixture("sweep_smoke.json") + " --ledger " +
+            ledger.str() + " --jobs abc"}) {
+    const auto r = run(cmd);
+    EXPECT_EQ(r.exitCode, 2) << cmd << "\n" << r.output;
+    EXPECT_NE(r.output.find("error: --"), std::string::npos) << r.output;
+  }
+}
+
+TEST(ToolsCli, HelpListsEachToolsFlags) {
+  const std::vector<std::pair<std::string, std::vector<const char*>>> tools =
+      {{perfCompare(), {"--tolerance FRAC", "--no-wall", "--min-speedup X"}},
+       {traceReport(),
+        {"--bins N", "--width N", "--req ID", "--attr", "--critpath",
+         "--timeline", "--waterfall", "--runtime", "--campaign",
+         "--baseline DIR", "--tolerance F", "--diff FILE"}},
+       {sweepBin(),
+        {"--ledger DIR", "--jobs N", "--git-rev REV", "--bench-dir DIR"}}};
+  for (const auto& [bin, flags] : tools) {
+    const auto r = run(bin + " --help");
+    EXPECT_EQ(r.exitCode, 0) << bin << "\n" << r.output;
+    for (const char* flag : flags)
+      EXPECT_NE(r.output.find(flag), std::string::npos)
+          << bin << " " << flag << "\n" << r.output;
+  }
 }
 
 }  // namespace

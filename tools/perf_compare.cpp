@@ -34,11 +34,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include "obs/cli.hpp"
 
 namespace {
 
@@ -117,37 +119,30 @@ std::string groupTag(unsigned threads) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* baselinePath = nullptr;
-  const char* currentPath = nullptr;
+  using bgckpt::obs::cli::Flag;
+  using bgckpt::obs::cli::Kind;
   double tolerance = 0.15;
   double minSpeedup = 0.0;
-  bool checkWall = true;
-  const auto usage = [] {
-    std::fprintf(stderr,
-                 "usage: perf_compare BASELINE.json CURRENT.json "
-                 "[--tolerance FRAC] [--no-wall] [--min-speedup X]\n");
-    return 2;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-      tolerance = std::atof(argv[++i]);
-    } else if (std::strncmp(argv[i], "--tolerance=", 12) == 0) {
-      tolerance = std::atof(argv[i] + 12);
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      minSpeedup = std::atof(argv[++i]);
-    } else if (std::strncmp(argv[i], "--min-speedup=", 14) == 0) {
-      minSpeedup = std::atof(argv[i] + 14);
-    } else if (std::strcmp(argv[i], "--no-wall") == 0) {
-      checkWall = false;
-    } else if (!baselinePath) {
-      baselinePath = argv[i];
-    } else if (!currentPath) {
-      currentPath = argv[i];
-    } else {
-      return usage();
-    }
-  }
-  if (!baselinePath || !currentPath) return usage();
+  bool noWall = false;
+  bgckpt::obs::cli::Parser cli(
+      bgckpt::obs::cli::programName(argv[0]),
+      {"BASELINE.json CURRENT.json [flags]"},
+      {Flag("--tolerance", Kind::kNonNegative, &tolerance,
+            "largest allowed relative drift of the events (either way) and "
+            "of the wall time (upward)",
+            bgckpt::obs::cli::Form::kBoth, "FRAC"),
+       Flag("--no-wall", Kind::kNone, &noWall,
+            "skip the wall-time gate (baseline from a different machine)"),
+       Flag("--min-speedup", Kind::kNonNegative, &minSpeedup,
+            "parallel-scaling gate: CURRENT's total wall time must be at "
+            "least X times smaller than BASELINE's, for the same events "
+            "(0 = off)")});
+  std::vector<std::string> paths;
+  cli.parseOrExit(argc, argv, &paths);
+  if (paths.size() != 2) return cli.usageError("expected two reports");
+  const char* baselinePath = paths[0].c_str();
+  const char* currentPath = paths[1].c_str();
+  const bool checkWall = !noWall;
 
   const PerfReport base = readReport(baselinePath);
   const PerfReport cur = readReport(currentPath);

@@ -11,32 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/cli.hpp"
 #include "report.hpp"
 #include "rules.hpp"
 
 namespace fs = std::filesystem;
 
 namespace {
-
-int usage() {
-  std::cerr
-      << "usage: srclint [options] <file-or-dir>...\n"
-         "\n"
-         "Project-invariant lint for the bgckpt tree: coroutine-lifetime,\n"
-         "determinism, and thread-safety rules no generic linter knows.\n"
-         "\n"
-         "options:\n"
-         "  --root <dir>            report paths relative to <dir>\n"
-         "  --baseline <file>       suppress findings listed in <file>;\n"
-         "                          stale entries are themselves findings\n"
-         "  --write-baseline <file> write current findings as a baseline\n"
-         "  --sarif <file>          also write a SARIF 2.1.0 report\n"
-         "  --counts                print a per-rule markdown count table\n"
-         "                          to stdout (for CI job summaries)\n"
-         "  --list-rules            print the rule catalog and exit\n"
-         "  --explain <rule>        print one rule's full rationale and exit\n";
-  return 2;
-}
 
 bool lintableExtension(const fs::path& p) {
   const std::string ext = p.extension().string();
@@ -90,63 +71,41 @@ int explainRule(const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using bgckpt::obs::cli::Flag;
+  using bgckpt::obs::cli::Kind;
+  using bgckpt::obs::cli::Form;
   std::vector<std::string> roots;
   std::string rootDir;
   std::string baselinePath;
   std::string writeBaselinePath;
   std::string sarifPath;
+  std::string explain;
   bool counts = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "srclint: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") return usage();
-    if (arg == "--list-rules") return listRules();
-    if (arg == "--explain") {
-      const char* v = value("--explain");
-      return v == nullptr ? 2 : explainRule(v);
-    }
-    if (arg == "--root") {
-      const char* v = value("--root");
-      if (v == nullptr) return 2;
-      rootDir = v;
-      continue;
-    }
-    if (arg == "--baseline") {
-      const char* v = value("--baseline");
-      if (v == nullptr) return 2;
-      baselinePath = v;
-      continue;
-    }
-    if (arg == "--write-baseline") {
-      const char* v = value("--write-baseline");
-      if (v == nullptr) return 2;
-      writeBaselinePath = v;
-      continue;
-    }
-    if (arg == "--sarif") {
-      const char* v = value("--sarif");
-      if (v == nullptr) return 2;
-      sarifPath = v;
-      continue;
-    }
-    if (arg == "--counts") {
-      counts = true;
-      continue;
-    }
-    if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "srclint: unknown option " << arg << "\n";
-      return usage();
-    }
-    roots.push_back(arg);
-  }
-  if (roots.empty()) return usage();
+  bool list = false;
+  bgckpt::obs::cli::Parser cli(
+      "srclint", {"[flags] <file-or-dir>..."},
+      {Flag("--root", Kind::kPath, &rootDir,
+            "report paths relative to DIR", Form::kSpaced, "DIR"),
+       Flag("--baseline", Kind::kPath, &baselinePath,
+            "suppress findings listed in FILE; stale entries are themselves "
+            "findings",
+            Form::kSpaced),
+       Flag("--write-baseline", Kind::kPath, &writeBaselinePath,
+            "write current findings as a baseline", Form::kSpaced),
+       Flag("--sarif", Kind::kPath, &sarifPath,
+            "also write a SARIF 2.1.0 report", Form::kSpaced),
+       Flag("--counts", Kind::kNone, &counts,
+            "print a per-rule markdown count table to stdout (for CI job "
+            "summaries)"),
+       Flag("--list-rules", Kind::kNone, &list,
+            "print the rule catalog and exit"),
+       Flag("--explain", Kind::kPath, &explain,
+            "print one rule's full rationale and exit", Form::kSpaced,
+            "RULE")});
+  cli.parseOrExit(argc, argv, &roots);
+  if (list) return listRules();
+  if (!explain.empty()) return explainRule(explain);
+  if (roots.empty()) return cli.usageError("no file or directory to lint");
 
   const std::vector<std::string> paths = collect(roots);
   std::vector<srclint::AnalyzedFile> files;

@@ -35,7 +35,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -44,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/cli.hpp"
 #include "obs/json.hpp"
 #include "obs/runstore.hpp"
 
@@ -52,14 +52,6 @@ namespace {
 namespace fs = std::filesystem;
 using bgckpt::obs::json::Value;
 namespace json = bgckpt::obs::json;
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s <spec.json> --ledger DIR [--jobs N] "
-               "[--git-rev REV] [--bench-dir DIR]\n",
-               argv0);
-  return 2;
-}
 
 /// One fully expanded bench invocation.
 struct RunConfig {
@@ -289,8 +281,8 @@ void executeConfig(const RunConfig& rc, const bgckpt::obs::RunStore& store,
   ++counters->ran;
 }
 
-std::string resolveGitRev(const char* flagValue) {
-  if (flagValue != nullptr && *flagValue != '\0') return flagValue;
+std::string resolveGitRev(const std::string& flagValue) {
+  if (!flagValue.empty()) return flagValue;
   if (const char* env = std::getenv("BGCKPT_GIT_REV");
       env != nullptr && *env != '\0')
     return env;
@@ -310,28 +302,33 @@ std::string resolveGitRev(const char* flagValue) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* specPath = nullptr;
-  const char* ledgerDir = nullptr;
-  const char* gitRevFlag = nullptr;
+  using bgckpt::obs::cli::Flag;
+  using bgckpt::obs::cli::Form;
+  using bgckpt::obs::cli::Kind;
+  std::string ledgerDir;
+  std::string gitRevFlag;
   std::string benchDir = ".";
-  unsigned jobs = std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ledger") == 0 && i + 1 < argc) {
-      ledgerDir = argv[++i];
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      const long n = std::strtol(argv[++i], nullptr, 10);
-      jobs = n > 0 ? static_cast<unsigned>(n) : 1;
-    } else if (std::strcmp(argv[i], "--git-rev") == 0 && i + 1 < argc) {
-      gitRevFlag = argv[++i];
-    } else if (std::strcmp(argv[i], "--bench-dir") == 0 && i + 1 < argc) {
-      benchDir = argv[++i];
-    } else if (argv[i][0] == '-') {
-      return usage(argv[0]);
-    } else {
-      specPath = argv[i];
-    }
-  }
-  if (specPath == nullptr || ledgerDir == nullptr) return usage(argv[0]);
+  int jobs = static_cast<int>(
+      std::min(4u, std::max(1u, std::thread::hardware_concurrency())));
+  bgckpt::obs::cli::Parser cli(
+      bgckpt::obs::cli::programName(argv[0]),
+      {"<spec.json> --ledger DIR [flags]"},
+      {Flag("--ledger", Kind::kPath, &ledgerDir,
+            "the content-addressed run ledger to file results in (required)",
+            Form::kSpaced, "DIR"),
+       Flag("--jobs", Kind::kCount, &jobs, "bench processes run at once",
+            Form::kSpaced),
+       Flag("--git-rev", Kind::kPath, &gitRevFlag,
+            "revision in the ledger keys (default: $BGCKPT_GIT_REV, else "
+            "git rev-parse --short HEAD)",
+            Form::kSpaced, "REV"),
+       Flag("--bench-dir", Kind::kPath, &benchDir,
+            "directory holding the bench binaries", Form::kSpaced, "DIR")});
+  std::vector<std::string> specs;
+  cli.parseOrExit(argc, argv, &specs);
+  if (specs.empty() || ledgerDir.empty())
+    return cli.usageError("need a spec file and --ledger DIR");
+  const char* specPath = specs.back().c_str();
 
   std::ifstream in(specPath);
   if (!in) {
@@ -385,8 +382,8 @@ int main(int argc, char** argv) {
   }
 
   const bgckpt::obs::RunStore store(ledgerDir);
-  std::printf("[sweep] %zu config(s) at rev %s -> %s (%u worker(s))\n",
-              configs.size(), gitRev.c_str(), ledgerDir, jobs);
+  std::printf("[sweep] %zu config(s) at rev %s -> %s (%d worker(s))\n",
+              configs.size(), gitRev.c_str(), ledgerDir.c_str(), jobs);
   Counters counters;
   std::atomic<std::size_t> next{0};
   const auto worker = [&] {

@@ -55,7 +55,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -64,6 +63,7 @@
 
 #include "analysis/ascii.hpp"
 #include "obs/attr.hpp"
+#include "obs/cli.hpp"
 #include "obs/json.hpp"
 #include "obs/optrace.hpp"
 #include "obs/runstore.hpp"
@@ -82,22 +82,6 @@ struct LayerTotals {
   std::uint64_t bytes = 0;
   double busySeconds = 0;  // sum of 'X' durations
 };
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s <events.jsonl> [--bins N]\n"
-               "       %s --attr <events.jsonl> [--diff <other.jsonl>]\n"
-               "       %s --critpath <run.json> [--diff <other.json>]\n"
-               "       %s --timeline <telemetry.json> [--diff <other.json>]"
-               " [--width N]\n"
-               "       %s --waterfall <optrace.json> [--req ID |"
-               " --diff <other.json>]\n"
-               "       %s --runtime <runtimeprof.json> [--diff <other.json>]\n"
-               "       %s --campaign <ledger-dir> [--diff <other-dir> |"
-               " --baseline <dir> [--tolerance F]]\n",
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0);
-  return 2;
-}
 
 /// TraceEvent::name must outlive the emit; intern replayed names here.
 const char* internName(const std::string& name) {
@@ -1122,14 +1106,10 @@ int runCampaignMode(const char* dir, const char* diffDir,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* path = nullptr;
-  const char* diffPath = nullptr;
-  const char* baselinePath = nullptr;
-  double tolerance = 0.15;
-  int bins = 60;
-  int width = 72;
-  long long reqId = -1;
-  enum class Mode {
+  using bgckpt::obs::cli::Flag;
+  using bgckpt::obs::cli::Form;
+  using bgckpt::obs::cli::Kind;
+  enum Mode {
     kSummary,
     kAttr,
     kCritPath,
@@ -1137,56 +1117,73 @@ int main(int argc, char** argv) {
     kWaterfall,
     kRuntime,
     kCampaign
-  } mode = Mode::kSummary;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--bins") == 0 && i + 1 < argc) {
-      bins = std::atoi(argv[++i]);
-      if (bins < 1) return usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--width") == 0 && i + 1 < argc) {
-      width = std::atoi(argv[++i]);
-      if (width < 1) return usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--req") == 0 && i + 1 < argc) {
-      reqId = std::atoll(argv[++i]);
-      if (reqId < 0) return usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--attr") == 0) {
-      mode = Mode::kAttr;
-    } else if (std::strcmp(argv[i], "--critpath") == 0) {
-      mode = Mode::kCritPath;
-    } else if (std::strcmp(argv[i], "--timeline") == 0) {
-      mode = Mode::kTimeline;
-    } else if (std::strcmp(argv[i], "--waterfall") == 0) {
-      mode = Mode::kWaterfall;
-    } else if (std::strcmp(argv[i], "--runtime") == 0) {
-      mode = Mode::kRuntime;
-    } else if (std::strcmp(argv[i], "--campaign") == 0) {
-      mode = Mode::kCampaign;
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baselinePath = argv[++i];
-    } else if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-      tolerance = std::strtod(argv[++i], nullptr);
-      if (!(tolerance >= 0)) return usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--diff") == 0 && i + 1 < argc) {
-      diffPath = argv[++i];
-    } else if (argv[i][0] == '-') {
-      return usage(argv[0]);
-    } else {
-      path = argv[i];
-    }
-  }
-  if (!path) return usage(argv[0]);
-  if (diffPath != nullptr && mode == Mode::kSummary) return usage(argv[0]);
-  if (reqId >= 0 && (mode != Mode::kWaterfall || diffPath != nullptr))
-    return usage(argv[0]);
-  if (baselinePath != nullptr &&
-      (mode != Mode::kCampaign || diffPath != nullptr))
-    return usage(argv[0]);
-  if (mode == Mode::kAttr) return runAttrMode(path, diffPath);
-  if (mode == Mode::kCritPath) return runCritPathMode(path, diffPath);
-  if (mode == Mode::kTimeline) return runTimelineMode(path, diffPath, width);
-  if (mode == Mode::kWaterfall)
-    return runWaterfallMode(path, diffPath, reqId, width);
-  if (mode == Mode::kRuntime) return runRuntimeMode(path, diffPath);
-  if (mode == Mode::kCampaign)
+  };
+  int mode = kSummary;
+  std::string diff;
+  std::string baseline;
+  double tolerance = 0.15;
+  int bins = 60;
+  int width = 72;
+  int reqId = -1;
+  const auto modeFlag = [&](const char* name, Mode m, const char* help) {
+    return Flag(name, Kind::kNone, &mode, help).sets(m);
+  };
+  bgckpt::obs::cli::Parser cli(
+      bgckpt::obs::cli::programName(argv[0]),
+      {"<events.jsonl> [--bins N]",
+       "--attr <events.jsonl> [--diff <other.jsonl>]",
+       "--critpath <run.json> [--diff <other.json>]",
+       "--timeline <telemetry.json> [--diff <other.json>] [--width N]",
+       "--waterfall <optrace.json> [--req ID | --diff <other.json>]",
+       "--runtime <runtimeprof.json> [--diff <other.json>]",
+       "--campaign <ledger-dir> [--diff <other-dir> | --baseline <dir> "
+       "[--tolerance F]]"},
+      {Flag("--bins", Kind::kCount, &bins,
+            "time bins of the summary's activity timeline", Form::kSpaced),
+       Flag("--width", Kind::kCount, &width,
+            "columns of the timeline heatmap and the waterfall",
+            Form::kSpaced),
+       Flag("--req", Kind::kIndex, &reqId,
+            "render the waterfall of this retained request id",
+            Form::kSpaced, "ID"),
+       modeFlag("--attr", kAttr, "report per-rank blocked-time attribution"),
+       modeFlag("--critpath", kCritPath, "report the critical path"),
+       modeFlag("--timeline", kTimeline,
+                "render the telemetry heatmap and server-imbalance stats"),
+       modeFlag("--waterfall", kWaterfall,
+                "render per-request hop tables, lineage and tail waterfalls"),
+       modeFlag("--runtime", kRuntime,
+                "decompose a runtime profile into parallel regions and "
+                "point walls"),
+       modeFlag("--campaign", kCampaign,
+                "roll up a sweep ledger directory"),
+       Flag("--baseline", Kind::kPath, &baseline,
+            "campaign gate: compare event counts against this ledger",
+            Form::kSpaced, "DIR"),
+       Flag("--tolerance", Kind::kNonNegative, &tolerance,
+            "campaign gate: allowed relative event drift", Form::kSpaced,
+            "F"),
+       Flag("--diff", Kind::kPath, &diff,
+            "compare against a second artifact of the same kind",
+            Form::kSpaced)});
+  std::vector<std::string> inputs;
+  cli.parseOrExit(argc, argv, &inputs);
+  if (inputs.empty()) return cli.usageError("missing input file");
+  const char* path = inputs.back().c_str();
+  const char* diffPath = diff.empty() ? nullptr : diff.c_str();
+  const char* baselinePath = baseline.empty() ? nullptr : baseline.c_str();
+  if (diffPath != nullptr && mode == kSummary)
+    return cli.usageError("--diff needs a report mode");
+  if (reqId >= 0 && (mode != kWaterfall || diffPath != nullptr))
+    return cli.usageError("--req needs --waterfall and no --diff");
+  if (baselinePath != nullptr && (mode != kCampaign || diffPath != nullptr))
+    return cli.usageError("--baseline needs --campaign and no --diff");
+  if (mode == kAttr) return runAttrMode(path, diffPath);
+  if (mode == kCritPath) return runCritPathMode(path, diffPath);
+  if (mode == kTimeline) return runTimelineMode(path, diffPath, width);
+  if (mode == kWaterfall) return runWaterfallMode(path, diffPath, reqId, width);
+  if (mode == kRuntime) return runRuntimeMode(path, diffPath);
+  if (mode == kCampaign)
     return runCampaignMode(path, diffPath, baselinePath, tolerance);
 
   std::ifstream in(path);
