@@ -9,14 +9,14 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
+#include "machine/bgp.hpp"
 #include "simcore/parallel.hpp"
 
-#include "obs/attr.hpp"
 #include "obs/cli.hpp"
-#include "obs/critpath.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/optrace.hpp"
 #include "obs/runstore.hpp"
@@ -116,12 +116,6 @@ std::string numbered(const std::string& path, int n) {
   return path.substr(0, dot) + tag + path.substr(dot);
 }
 
-std::string swapJsonForCsv(const std::string& path) {
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0)
-    return path.substr(0, path.size() - 5) + ".csv";
-  return path + ".csv";
-}
-
 std::string jsonlTwin(const std::string& path) {
   if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0)
     return path + "l";
@@ -152,6 +146,35 @@ void writeManifest(const std::string& artifactPath, const char* artifact,
     std::exit(2);
   }
 }
+
+/// Fail a typo'd output path at startup (exit 2): most artifacts are only
+/// written at finalize, long after the flag was read.
+void requireWritable(const std::string& flag, const std::string& path) {
+  if (!std::ofstream(path)) {
+    std::fprintf(stderr, "error: %s: cannot open %s\n", flag.c_str(),
+                 path.c_str());
+    std::exit(2);
+  }
+}
+
+/// One row per obs artifact flag: the artifact's name (its manifest
+/// "artifact", its --obs-dir file stem and its announce line), the flag's
+/// FILE, and the hub artifact it registers. The trace has none: it streams
+/// through its own sink; the hub writes every other artifact at finalize.
+struct ArtifactFlag {
+  const char* name;
+  std::string* path;
+  std::optional<obs::Artifact> kind;
+};
+
+const ArtifactFlag kArtifactFlags[] = {
+    {"trace", &gTracePath, std::nullopt},
+    {"metrics", &gMetricsPath, obs::Artifact::kMetrics},
+    {"attr", &gAttrPath, obs::Artifact::kAttr},
+    {"critpath", &gCritPathPath, obs::Artifact::kCritPath},
+    {"telemetry", &gTelemetryPath, obs::Artifact::kTelemetry},
+    {"optrace", &gOpTracePath, obs::Artifact::kOpTrace},
+};
 
 }  // namespace
 
@@ -194,20 +217,20 @@ void obsInit(int argc, char** argv, std::vector<obs::cli::Flag> benchFlags) {
            "plus a .jsonl event log for trace_report; multi-stack harnesses "
            "number the files (FILE.2.json, ...)"),
       Flag("--metrics", Kind::kPath, &gMetricsPath,
-           "export the metrics registry as JSON to FILE, plus a CSV twin"),
+           "export the metrics registry as JSON to FILE"),
       Flag("--perf-json", Kind::kPath, &gPerfJsonPath,
            "write one perf record per simulated run (wall seconds, events, "
            "events/s) plus totals; gate two of them with perf_compare"),
       Flag("--attr", Kind::kPath, &gAttrPath,
            "export per-rank blocked-time attribution (obs/attr.hpp) as JSON "
-           "to FILE, plus a CSV twin"),
+           "to FILE"),
       Flag("--critpath", Kind::kPath, &gCritPathPath,
            "record the causal event graph and write the critical-path report "
            "(obs/critpath.hpp) as JSON to FILE"),
       Flag("--telemetry", Kind::kPositive, &gTelemetryDt,
            "sample every telemetry probe into DT-second buckets (default "
-           "0.25 simulated s) and write the timeseries as JSON to FILE, plus "
-           "a CSV twin; render it with trace_report --timeline",
+           "0.25 simulated s) and write the timeseries as JSON to FILE; "
+           "render it with trace_report --timeline",
            Form::kAttached, "DT")
           .then(Operand::kPath, &gTelemetryPath),
       Flag("--optrace", Kind::kPositive, &opTraceRate,
@@ -261,30 +284,15 @@ void obsInit(int argc, char** argv, std::vector<obs::cli::Flag> benchFlags) {
                    gObsDir.c_str(), ec.message().c_str());
       std::exit(2);
     }
-    const auto derive = [&](std::string& path, const char* name) {
-      if (path.empty()) path = gObsDir + "/" + name;
-    };
-    derive(gTracePath, "trace.json");
-    derive(gMetricsPath, "metrics.json");
-    derive(gAttrPath, "attr.json");
-    derive(gCritPathPath, "critpath.json");
-    derive(gTelemetryPath, "telemetry.json");
+    for (const ArtifactFlag& a : kArtifactFlags)
+      if (a.path->empty()) *a.path = gObsDir + "/" + a.name + ".json";
     gOpTraceEnabled = true;
-    derive(gOpTracePath, "optrace.json");
     // Deliberately NOT derived: the runtime profile records wall time, so
     // its JSON can never be byte-stable; keeping it out of the obs dir
     // keeps the serial-vs-threaded artifact identity contract intact.
   }
   if (!gRuntimeProfPath.empty()) {
-    // Fail a typo'd path at startup (exit 2), same contract as --trace.
-    {
-      std::ofstream probe(gRuntimeProfPath);
-      if (!probe) {
-        std::fprintf(stderr, "error: --runtime-profile: cannot open %s\n",
-                     gRuntimeProfPath.c_str());
-        std::exit(2);
-      }
-    }
+    requireWritable("--runtime-profile", gRuntimeProfPath);
     gRuntimeProf = std::make_unique<obs::RuntimeProfiler>();
     gRuntimeProf->install();
     std::fprintf(stderr, "[obs] runtime execution profile to %s\n",
@@ -294,6 +302,15 @@ void obsInit(int argc, char** argv, std::vector<obs::cli::Flag> benchFlags) {
 
 obs::cli::Flag intFlag(const char* name, int* into, const char* help) {
   return obs::cli::Flag(name, obs::cli::Kind::kCount, into, help);
+}
+
+void requireIntrepidNp(int np) {
+  if (machine::isIntrepidRankCount(np)) return;
+  std::fprintf(stderr,
+               "error: --np: expected an Intrepid partition size (%s), "
+               "got '%d'\n",
+               machine::intrepidRankCounts().c_str(), np);
+  std::exit(2);
 }
 
 sim::SimCheckMode simCheckMode() {
@@ -323,11 +340,9 @@ bool runtimeProfFlush() {
   // Stop observing before export: no run should be in flight at flush
   // time, and uninstalling makes that a hard property.
   gRuntimeProf->uninstall();
-  if (!gRuntimeProf->writeJson(gRuntimeProfPath)) {
-    std::fprintf(stderr, "error: --runtime-profile: cannot write %s\n",
-                 gRuntimeProfPath.c_str());
+  if (!obs::writeArtifactFile("runtimeprof", gRuntimeProfPath,
+                              gRuntimeProf->toJson()))
     return false;
-  }
   writeManifest(gRuntimeProfPath, "runtimeprof", 0, 0);
   std::fprintf(stderr,
                "[obs] runtime profile: %zu parallel region(s), %zu point(s) "
@@ -393,91 +408,47 @@ bool perfFlush() {
 namespace {
 
 bool obsActive() {
-  return !(gTracePath.empty() && gMetricsPath.empty() && gAttrPath.empty() &&
-           gCritPathPath.empty() && gTelemetryPath.empty() &&
-           !gOpTraceEnabled && gFlightRecEvents == 0);
+  return gOpTraceEnabled || gFlightRecEvents > 0 ||
+         std::any_of(std::begin(kArtifactFlags), std::end(kArtifactFlags),
+                     [](const ArtifactFlag& a) { return !a.path->empty(); });
 }
 
 /// attachObs with an explicit stack ordinal: runSims pre-assigns numbers
 /// in point order so the ".2"/".3" artifact suffixes are identical to a
-/// serial run whatever order the workers finish in.
+/// serial run whatever order the workers finish in. Every announce line
+/// goes to stderr: figure stdout must stay byte-identical whatever
+/// observability is on.
 void attachObsNumbered(iolib::SimStack& stack, int n) {
   const int np = stack.rt.numRanks();
-  // Each artifact written by this attach gets a "<path>.manifest.json"
-  // sidecar so downstream tools can validate provenance and schema.
-  std::vector<std::pair<const char*, std::string>> artifacts;
-  if (!gTracePath.empty()) {
-    const std::string chrome = numbered(gTracePath, n);
-    const std::string jsonl = jsonlTwin(chrome);
-    try {
-      stack.obs.addSink(obs::ChromeTraceSink::toFiles(chrome, jsonl));
-    } catch (const std::runtime_error& e) {
-      std::fprintf(stderr, "error: --trace: %s\n", e.what());
-      std::exit(2);
+  // Recorders first: the hub registers an artifact only once its recorder
+  // is attached.
+  if (!gAttrPath.empty()) stack.obs.attachAttribution();
+  if (!gCritPathPath.empty()) stack.obs.attachCritPath(stack.sched);
+  if (!gTelemetryPath.empty())
+    stack.obs.attachTelemetry(stack.sched, gTelemetryDt);
+  if (gOpTraceEnabled)
+    std::fprintf(stderr, "[obs] op tracing on (sampling 1 in %u)\n",
+                 stack.obs.attachOpTrace(gOpTraceSampleEvery).sampleEvery());
+  for (const ArtifactFlag& a : kArtifactFlags) {
+    if (a.path->empty()) continue;
+    const std::string path = numbered(*a.path, n);
+    requireWritable(std::string("--") + a.name, path);
+    if (a.kind) {
+      stack.obs.exportArtifact(*a.kind, path);
+    } else {
+      try {
+        stack.obs.addSink(
+            obs::ChromeTraceSink::toFiles(path, jsonlTwin(path)));
+      } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "error: --trace: %s\n", e.what());
+        std::exit(2);
+      }
     }
-    std::fprintf(stderr, "[obs] streaming Chrome trace to %s (+ %s)\n",
-                 chrome.c_str(), jsonl.c_str());
-    artifacts.emplace_back("trace", chrome);
+    std::fprintf(stderr, "[obs] %s to %s\n", a.name, path.c_str());
+    // Each artifact gets a "<path>.manifest.json" sidecar so downstream
+    // tools can validate provenance and schema.
+    writeManifest(path, a.name, np, n);
   }
-  if (!gMetricsPath.empty()) {
-    const std::string json = numbered(gMetricsPath, n);
-    stack.obs.exportOnDestroy(json, swapJsonForCsv(json));
-    std::fprintf(stderr, "[obs] metrics will be written to %s and %s\n",
-                 json.c_str(), swapJsonForCsv(json).c_str());
-    artifacts.emplace_back("metrics", json);
-  }
-  // Every announce line goes to stderr: figure stdout must stay
-  // byte-identical whatever observability is on. The sinks below only
-  // write at finalize, so probe the path now — a typo must fail at startup
-  // with exit 2, the same contract as --trace.
-  const auto requireWritable = [](const char* flag, const std::string& path) {
-    std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "error: %s: cannot open %s\n", flag, path.c_str());
-      std::exit(2);
-    }
-  };
-  if (!gAttrPath.empty()) {
-    const std::string json = numbered(gAttrPath, n);
-    requireWritable("--attr", json);
-    requireWritable("--attr", swapJsonForCsv(json));
-    auto attr = std::make_shared<obs::AttributionSink>();
-    attr->exportTo(json, swapJsonForCsv(json));
-    stack.obs.addSink(std::move(attr));
-    std::fprintf(stderr, "[obs] blocked-time attribution to %s and %s\n",
-                 json.c_str(), swapJsonForCsv(json).c_str());
-    artifacts.emplace_back("attr", json);
-  }
-  if (!gCritPathPath.empty()) {
-    const std::string json = numbered(gCritPathPath, n);
-    requireWritable("--critpath", json);
-    stack.obs.attachCritPath(stack.sched, json);
-    std::fprintf(stderr, "[obs] critical-path report to %s\n", json.c_str());
-    artifacts.emplace_back("critpath", json);
-  }
-  if (!gTelemetryPath.empty()) {
-    const std::string json = numbered(gTelemetryPath, n);
-    const std::string csv = swapJsonForCsv(json);
-    requireWritable("--telemetry", json);
-    requireWritable("--telemetry", csv);
-    stack.obs.attachTelemetry(stack.sched, gTelemetryDt, json, csv);
-    std::fprintf(stderr,
-                 "[obs] sampled telemetry (dt=%.3gs) to %s and %s\n",
-                 stack.obs.telemetry().bucketDt(), json.c_str(), csv.c_str());
-    artifacts.emplace_back("telemetry", json);
-  }
-  if (gOpTraceEnabled) {
-    const std::string json =
-        gOpTracePath.empty() ? std::string() : numbered(gOpTracePath, n);
-    if (!json.empty()) requireWritable("--optrace", json);
-    stack.obs.attachOpTrace(gOpTraceSampleEvery, -1, json);
-    std::fprintf(stderr, "[obs] op tracing on (sampling 1 in %u)%s%s\n",
-                 stack.obs.opTracer()->sampleEvery(),
-                 json.empty() ? "" : ", report to ",
-                 json.c_str());
-    if (!json.empty()) artifacts.emplace_back("optrace", json);
-  }
-  for (const auto& [kind, path] : artifacts) writeManifest(path, kind, np, n);
   if (gFlightRecEvents > 0) {
     // runSims already creates one via SimStackOptions; cover harnesses
     // that build their own SimStack and only call attachObs.

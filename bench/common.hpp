@@ -52,6 +52,10 @@ void obsInit(int argc, char** argv,
 /// integer >= 1. `*into` holds the default and receives the value.
 obs::cli::Flag intFlag(const char* name, int* into, const char* help);
 
+/// A harness's `--np` must be an Intrepid partition size: anything else
+/// prints `error: --np: ...` naming the supported sizes and exits 2.
+void requireIntrepidNp(int np);
+
 /// Wall-clock stopwatch for benchmark harnesses. Lives in bench/common on
 /// purpose: srclint's wall-clock rule bans host clocks everywhere else in
 /// bench/ and src/, so harness timing goes through this one allowlisted

@@ -14,7 +14,6 @@
 //                        (np/ng) * BW_rbIO/BW_coIO     (from bandwidths)
 #include <cmath>
 #include <cstdio>
-#include <memory>
 
 #include "analysis/models.hpp"
 #include "common.hpp"
@@ -37,12 +36,11 @@ MeasuredRun runMeasured(int np, const iolib::StrategyConfig& cfg) {
   opt.simcheck = simCheckMode();
   iolib::SimStack stack(np, opt);
   attachObs(stack);
-  auto attr = std::make_shared<obs::AttributionSink>();
-  stack.obs.addSink(attr);
+  const obs::AttributionSink& attr = stack.obs.attachAttribution();
   MeasuredRun run;
   run.result = runSim(stack, np, cfg);
   stack.obs.finalize(stack.sched.now());
-  run.attr = attr->report();
+  run.attr = attr.report();
   return run;
 }
 
@@ -66,11 +64,8 @@ int main(int argc, char** argv) {
   int np = 4096;
   bgckpt::bench::obsInit(
       argc, argv,
-      {intFlag("--np", &np, "ranks to simulate: a multiple of 64, >= 128")});
-  if (np < 128 || np % 64 != 0) {
-    std::fprintf(stderr, "error: --np must be a multiple of 64, >= 128\n");
-    return 2;
-  }
+      {intFlag("--np", &np, "ranks to simulate: an Intrepid partition size")});
+  requireIntrepidNp(np);
   banner("Equation (7) - measured blocked time vs the analytical model",
          "Attribution-measured blocked processor-seconds, coIO vs rbIO.");
 

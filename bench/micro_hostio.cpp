@@ -7,7 +7,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
 
 #include "hostio/host_checkpoint.hpp"
@@ -119,11 +118,10 @@ void BM_HostObsArtifacts(benchmark::State& state) {
   int step = 0;
   for (auto _ : state) {
     obs::Observability obs;
-    auto attr = std::make_shared<obs::AttributionSink>();
-    attr->exportTo(attrJson, "");
-    obs.addSink(attr);
-    obs::OpTraceSink& sink = obs.attachOpTrace(/*sampleEvery=*/1);
-    sink.exportTo(optraceJson);
+    obs.attachAttribution();
+    obs.exportArtifact(obs::Artifact::kAttr, attrJson);
+    const obs::OpTracer& tracer = obs.attachOpTrace(/*sampleEvery=*/1);
+    obs.exportArtifact(obs::Artifact::kOpTrace, optraceJson);
 
     spec.directory = (dir / std::to_string(step++)).string();
     hostio::HostConfig config{hostio::HostStrategy::kRbIo, kNf};
@@ -157,7 +155,6 @@ void BM_HostObsArtifacts(benchmark::State& state) {
       state.SkipWithError("optrace artifact missing or schema-invalid");
       break;
     }
-    const obs::OpTracer& tracer = sink.tracer();
     // One "host" request per rank; every worker block linked into its
     // writer's aggregate (fan-in = groupSize - 1 workers per writer).
     if (tracer.minted() != kRanks || tracer.completed() != kRanks ||

@@ -25,15 +25,10 @@ int main(int argc, char** argv) {
   int every = 20;
   bgckpt::bench::obsInit(
       argc, argv,
-      {intFlag("--np", &np, "ranks to simulate: a multiple of 64"),
+      {intFlag("--np", &np, "ranks to simulate: an Intrepid partition size"),
        intFlag("--steps", &steps, "solver steps in the campaign"),
        intFlag("--every", &every, "checkpoint every N steps")});
-  if (np < 64 || np % 64 != 0 || steps < 1 || every < 1) {
-    std::fprintf(stderr,
-                 "production_campaign: need --np >= 64 (multiple of 64), "
-                 "--steps >= 1, --every >= 1\n");
-    return 2;
-  }
+  requireIntrepidNp(np);
   const bool production = np == 16384 && steps == 60 && every == 20;
   banner("Production campaign - end-to-end Eq. (1), measured directly",
          "60 compute steps, checkpoint every 20, 16,384 ranks.");

@@ -49,31 +49,53 @@ int Machine::torusHops(int nodeA, int nodeB) const {
          wrapDist(a.z, b.z, shape_.z);
 }
 
-Machine intrepidMachine(int numRanks) {
-  // VN mode: 4 ranks per node. Partition shapes follow ALCF conventions
-  // (midplane = 8x8x16 = 512 nodes; larger partitions stack midplanes).
-  if (numRanks < 4 || numRanks % 4 != 0)
-    throw std::invalid_argument("Intrepid VN-mode rank count must be 4*nodes");
-  const int nodes = numRanks / 4;
-  TorusShape shape;
-  switch (nodes) {
-    case 64:    shape = {4, 4, 4};    break;
-    case 128:   shape = {4, 4, 8};    break;
-    case 256:   shape = {4, 8, 8};    break;
-    case 512:   shape = {8, 8, 8};    break;   // one midplane (logical cube)
-    case 1024:  shape = {8, 8, 16};   break;
-    case 2048:  shape = {8, 16, 16};  break;
-    case 4096:  shape = {16, 16, 16}; break;   // 16K ranks
-    case 8192:  shape = {16, 16, 32}; break;   // 32K ranks
-    case 16384: shape = {16, 32, 32}; break;   // 64K ranks
-    case 32768: shape = {32, 32, 32}; break;   // 128K ranks
-    case 40960: shape = {40, 32, 32}; break;   // full Intrepid
-    default:
-      throw std::invalid_argument(
-          "unsupported Intrepid partition: " + std::to_string(nodes) +
-          " nodes");
+namespace {
+
+// Intrepid partitions in VN mode (4 ranks per node), by shape. Shapes follow
+// ALCF conventions (midplane = 8x8x16 = 512 nodes; larger partitions stack
+// midplanes).
+constexpr int kVnRanksPerNode = 4;
+const TorusShape kIntrepidShapes[] = {
+    {4, 4, 4},     {4, 4, 8}, {4, 8, 8},
+    {8, 8, 8},     // one midplane (logical cube)
+    {8, 8, 16},    {8, 16, 16},
+    {16, 16, 16},  // 16K ranks
+    {16, 16, 32},  // 32K ranks
+    {16, 32, 32},  // 64K ranks
+    {32, 32, 32},  // 128K ranks
+    {40, 32, 32},  // full Intrepid
+};
+
+const TorusShape* findShape(int numRanks) {
+  for (const TorusShape& shape : kIntrepidShapes)
+    if (shape.nodes() * kVnRanksPerNode == numRanks) return &shape;
+  return nullptr;
+}
+
+}  // namespace
+
+bool isIntrepidRankCount(int numRanks) {
+  return findShape(numRanks) != nullptr;
+}
+
+std::string intrepidRankCounts() {
+  std::string out;
+  for (const TorusShape& shape : kIntrepidShapes) {
+    if (!out.empty()) out += ", ";
+    out += std::to_string(shape.nodes() * kVnRanksPerNode);
   }
-  return Machine(shape, NodeMode::kVn, ComputeConfig{}, IoConfig{});
+  return out;
+}
+
+Machine intrepidMachine(int numRanks) {
+  if (numRanks < kVnRanksPerNode || numRanks % kVnRanksPerNode != 0)
+    throw std::invalid_argument("Intrepid VN-mode rank count must be 4*nodes");
+  const TorusShape* shape = findShape(numRanks);
+  if (shape == nullptr)
+    throw std::invalid_argument(
+        "unsupported Intrepid partition: " +
+        std::to_string(numRanks / kVnRanksPerNode) + " nodes");
+  return Machine(*shape, NodeMode::kVn, ComputeConfig{}, IoConfig{});
 }
 
 std::string describe(const Machine& m) {

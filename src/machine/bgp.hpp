@@ -135,10 +135,18 @@ class Machine {
   IoConfig io_;
 };
 
-/// Intrepid-like machine with `numRanks` MPI processes in VN mode.
-/// Supported rank counts: powers of two from 256 to 163840's VN limit;
-/// geometry is chosen to match ALCF partition shapes.
+/// Intrepid-like machine with `numRanks` MPI processes in VN mode;
+/// geometry is chosen to match ALCF partition shapes. Throws
+/// std::invalid_argument unless isIntrepidRankCount(numRanks).
 Machine intrepidMachine(int numRanks);
+
+/// True when intrepidMachine(numRanks) has a partition shape for it: one of
+/// the rank counts intrepidRankCounts() lists.
+bool isIntrepidRankCount(int numRanks);
+
+/// The supported rank counts, ascending and comma-separated
+/// ("256, 512, ..., 131072, 163840"), for error messages.
+std::string intrepidRankCounts();
 
 /// Human-readable one-line summary ("16384 ranks, 4096 nodes 16x16x16, ...").
 std::string describe(const Machine& m);

@@ -88,7 +88,6 @@ class AttributionEngine {
     /// Exactly 0 by construction; exported so tests can assert it.
     double partitionDefect() const;
     std::string toJson() const;
-    std::string toCsv() const;
   };
 
   /// Sweep all recorded spans into the exclusive partition. Spans are
@@ -96,8 +95,6 @@ class AttributionEngine {
   /// deepest (ties: later start, then later arrival). `const`: callable
   /// repeatedly / at several horizons.
   Report compute(sim::SimTime horizon) const;
-
-  std::size_t spanCount() const { return spans_.size(); }
 
  private:
   struct Span {
@@ -113,14 +110,12 @@ class AttributionEngine {
 };
 
 /// TraceSink adaptor: collects events during the run, computes the report
-/// at Observability::finalize(horizon), optionally writes JSON/CSV files,
-/// and keeps the report readable in-process (the eq7 bench reads measured
-/// blocked time from here).
+/// at Observability::finalize(horizon) and keeps it readable in-process
+/// (the eq7 bench reads measured blocked time from here; the hub writes
+/// its JSON when an `attr` artifact is registered).
 class AttributionSink final : public TraceSink {
  public:
   AttributionSink() = default;
-  /// Request file export at finalize; empty path skips that format.
-  void exportTo(std::string jsonPath, std::string csvPath);
 
   void event(const TraceEvent& ev) override;
   void finalize(sim::SimTime horizon) override;
@@ -135,8 +130,6 @@ class AttributionSink final : public TraceSink {
   AttributionEngine engine_;
   AttributionEngine::Report report_;
   bool finalized_ = false;
-  std::string jsonPath_;
-  std::string csvPath_;
 };
 
 }  // namespace bgckpt::obs

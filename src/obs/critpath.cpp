@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 
 namespace bgckpt::obs {
@@ -26,10 +25,6 @@ void appendEscaped(std::string& out, const char* s) {
 }
 
 }  // namespace
-
-void CritPathRecorder::exportTo(std::string jsonPath) {
-  jsonPath_ = std::move(jsonPath);
-}
 
 void CritPathRecorder::onEventScheduled(std::uint64_t seq,
                                         std::uint64_t parentSeq,
@@ -169,14 +164,6 @@ void CritPathRecorder::finalize(sim::SimTime horizon) {
   if (finalized_) return;
   finalized_ = true;
   path_ = computePath(horizon);
-  if (jsonPath_.empty()) return;
-  std::ofstream f(jsonPath_);
-  if (!f) {
-    std::fprintf(stderr, "error: critpath: cannot write %s\n",
-                 jsonPath_.c_str());
-    return;
-  }
-  f << path_.toJson();
 }
 
 }  // namespace bgckpt::obs

@@ -20,9 +20,10 @@
 // waits; under rbIO nf=ng it is writer-side fabric time, and the workers'
 // barrier edges vanish from it.
 //
-// The recorder is a TraceSink only for lifecycle (finalize/export through
-// the Observability hub); it consumes no trace events (layerMask 0) — its
-// input arrives through the scheduler hook fan-out in SchedulerProbe.
+// The recorder is a TraceSink only for lifecycle (finalize through the
+// Observability hub, which also writes its JSON); it consumes no trace
+// events (layerMask 0) — its input arrives through the scheduler hook
+// fan-out in SchedulerProbe.
 #pragma once
 
 #include <array>
@@ -38,15 +39,13 @@ namespace bgckpt::obs {
 class CritPathRecorder final : public TraceSink {
  public:
   CritPathRecorder() = default;
-  /// Request JSON export at finalize; empty path skips it.
-  void exportTo(std::string jsonPath);
 
   /// Fed by SchedulerProbe for every event scheduled.
   void onEventScheduled(std::uint64_t seq, std::uint64_t parentSeq,
                         sim::SimTime when, sim::WakeKind kind,
                         const char* label);
 
-  // TraceSink lifecycle: no event input, finalize computes + exports.
+  // TraceSink lifecycle: no event input, finalize computes the path.
   void event(const TraceEvent&) override {}
   void finalize(sim::SimTime horizon) override;
   unsigned layerMask() const override { return 0; }
@@ -79,9 +78,7 @@ class CritPathRecorder final : public TraceSink {
   /// Valid any time; finalize() caches the result in path().
   Path computePath(sim::SimTime horizon) const;
 
-  bool finalized() const { return finalized_; }
   const Path& path() const { return path_; }  // valid after finalize()
-  std::uint64_t eventsRecorded() const { return nodes_.size(); }
 
  private:
   struct Node {
@@ -100,7 +97,6 @@ class CritPathRecorder final : public TraceSink {
   bool haveBase_ = false;
   bool finalized_ = false;
   Path path_;
-  std::string jsonPath_;
 };
 
 }  // namespace bgckpt::obs

@@ -1,6 +1,8 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cstdarg>
+#include <cstdio>
 #include <cstdlib>
 
 namespace bgckpt::obs::json {
@@ -262,6 +264,46 @@ class Parser {
 
 std::optional<Value> parse(std::string_view text, std::string* error) {
   return Parser(text).run(error);
+}
+
+void escapeInto(std::string& out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+}
+
+void appendf(std::string& out, const char* fmt, ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, fmt);
+  va_list again;
+  va_copy(again, args);
+  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
+  va_end(args);
+  if (n >= 0 && static_cast<std::size_t>(n) < sizeof(buf)) {
+    out.append(buf, static_cast<std::size_t>(n));
+  } else if (n >= 0) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n) + 1);
+    std::vsnprintf(&out[at], static_cast<std::size_t>(n) + 1, fmt, again);
+    out.resize(at + static_cast<std::size_t>(n));
+  }
+  va_end(again);
 }
 
 }  // namespace bgckpt::obs::json

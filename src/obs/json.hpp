@@ -1,4 +1,5 @@
-// Minimal recursive-descent JSON parser.
+// Minimal recursive-descent JSON parser, plus the formatter the obs
+// artifact renderers share.
 //
 // Just enough JSON for this repo's own emitters: tools/trace_report parses
 // the JSONL event log and the metrics JSON, and the obs tests validate that
@@ -47,5 +48,14 @@ class Value {
 /// Parse a complete document. Returns nullopt on any syntax error or
 /// trailing garbage; `error`, when given, receives a description.
 std::optional<Value> parse(std::string_view text, std::string* error = nullptr);
+
+/// Append `s` to `out` as the body of a JSON string (quotes, backslashes
+/// and control characters escaped; no surrounding quotes).
+void escapeInto(std::string& out, std::string_view s);
+
+/// Append printf-formatted text to `out`: the one formatter behind the obs
+/// artifacts' toJson() renderers.
+void appendf(std::string& out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 }  // namespace bgckpt::obs::json

@@ -2,43 +2,13 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
-#include <fstream>
 #include <vector>
+
+#include "obs/json.hpp"
 
 namespace bgckpt::obs {
 
-namespace {
-
-void appendf(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
-
-}  // namespace
-
-std::string csvField(const std::string& field) {
-  const bool needsQuoting =
-      field.find_first_of(",\"\r\n") != std::string::npos;
-  if (!needsQuoting) return field;
-  std::string out;
-  out.reserve(field.size() + 2);
-  out.push_back('"');
-  for (char c : field) {
-    if (c == '"') out.push_back('"');
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
+using json::appendf;
 
 Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
                                       double hi, std::size_t bins) {
@@ -113,56 +83,6 @@ std::string MetricsRegistry::toJson() const {
   }
   out += "\n  ]\n}\n";
   return out;
-}
-
-std::string MetricsRegistry::toCsv() const {
-  std::string out = "kind,name,value\n";
-  for (const auto& [name, c] : counters_)
-    appendf(out, "counter,%s,%" PRIu64 "\n", csvField(name).c_str(),
-            c.value());
-  for (const auto& [name, g] : gauges_)
-    appendf(out, "gauge,%s,%.9g\n", csvField(name).c_str(), g.value());
-  out += "kind,name,count,mean,min,max,stddev\n";
-  for (const auto& [name, h] : histograms_) {
-    const auto& s = h.stats();
-    appendf(out, "histogram,%s,%" PRIu64 ",%.9g,%.9g,%.9g,%.9g\n",
-            csvField(name).c_str(), s.count(), s.mean(), s.min(), s.max(),
-            s.stddev());
-  }
-  out += "kind,name,bin_lo,bin_hi,count\n";
-  for (const auto& [name, h] : histograms_)
-    for (std::size_t i = 0; i < h.bins().bins(); ++i)
-      if (h.bins().binCount(i))
-        appendf(out, "bin,%s,%.9g,%.9g,%" PRIu64 "\n",
-                csvField(name).c_str(), h.bins().binLow(i),
-                h.bins().binHigh(i), h.bins().binCount(i));
-  if (!pairs_.empty()) {
-    out += "kind,src,dst,count,bytes,latency_sum\n";
-    std::vector<std::uint64_t> keys;
-    keys.reserve(pairs_.size());
-    for (const auto& [key, p] : pairs_) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    for (const auto key : keys) {
-      const PairStats& p = pairs_.at(key);
-      appendf(out, "pair,%d,%d,%" PRIu64 ",%" PRIu64 ",%.9g\n", pairSrc(key),
-              pairDst(key), p.count, p.bytes, p.latencySum);
-    }
-  }
-  return out;
-}
-
-bool MetricsRegistry::writeJson(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << toJson();
-  return static_cast<bool>(out);
-}
-
-bool MetricsRegistry::writeCsv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << toCsv();
-  return static_cast<bool>(out);
 }
 
 }  // namespace bgckpt::obs

@@ -3,8 +3,7 @@
 // Instrumented layers resolve their metric handles once (a map lookup at
 // construction) and then update through plain references, so the per-event
 // cost is an integer add or a histogram bin increment. The registry renders
-// to JSON (machine-readable, one object per metric) and CSV (one row per
-// metric, histogram bins and MPI rank pairs in dedicated sections).
+// to JSON (one object per metric), which Observability writes at finalize.
 #pragma once
 
 #include <cstdint>
@@ -16,12 +15,6 @@
 #include "simcore/units.hpp"
 
 namespace bgckpt::obs {
-
-/// Quote one CSV field per RFC 4180: fields containing a comma, a double
-/// quote, or a line break are wrapped in double quotes, with embedded
-/// quotes doubled. Anything else passes through unchanged. Every obs CSV
-/// exporter routes free-form name fields through this.
-std::string csvField(const std::string& field);
 
 class Counter {
  public:
@@ -96,10 +89,6 @@ class MetricsRegistry {
   }
 
   std::string toJson() const;
-  std::string toCsv() const;
-  /// Returns false (and writes nothing) if the file cannot be opened.
-  bool writeJson(const std::string& path) const;
-  bool writeCsv(const std::string& path) const;
 
  private:
   std::map<std::string, Counter> counters_;

@@ -1,11 +1,36 @@
 #include "obs/obs.hpp"
 
+#include <cstdio>
+#include <fstream>
+
 #include "obs/attr.hpp"
 #include "obs/critpath.hpp"
 #include "obs/optrace.hpp"
 #include "obs/telemetry.hpp"
+#include "simcore/simcheck.hpp"
 
 namespace bgckpt::obs {
+
+const char* artifactName(Artifact kind) {
+  switch (kind) {
+    case Artifact::kMetrics: return "metrics";
+    case Artifact::kAttr: return "attr";
+    case Artifact::kCritPath: return "critpath";
+    case Artifact::kTelemetry: return "telemetry";
+    case Artifact::kOpTrace: return "optrace";
+  }
+  return "?";
+}
+
+bool writeArtifactFile(const char* name, const std::string& path,
+                       const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  out.close();
+  if (out) return true;
+  std::fprintf(stderr, "error: %s: cannot write %s\n", name, path.c_str());
+  return false;
+}
 
 SchedulerProbe::SchedulerProbe(Observability& obs)
     : obs_(obs),
@@ -41,12 +66,10 @@ Observability::Observability() = default;
 Observability::~Observability() {
   const sim::SimTime horizon = observedSched_ ? observedSched_->now() : 0.0;
   releaseScheduler();
-  // Aggregating sinks (attribution, critpath) must always get their
-  // finalize, even without a metrics export request; finalize() is
-  // idempotent, so a stack already finalized by hand skips the work.
+  // Aggregating sinks and registered artifacts get their finalize even
+  // when nobody called it; finalize() is idempotent, so a stack already
+  // finalized by hand skips the work.
   finalize(horizon);
-  if (!metricsJsonPath_.empty()) metrics_.writeJson(metricsJsonPath_);
-  if (!metricsCsvPath_.empty()) metrics_.writeCsv(metricsCsvPath_);
 }
 
 void Observability::addSink(std::shared_ptr<TraceSink> sink) {
@@ -118,7 +141,7 @@ void Observability::message(int src, int dst, sim::Bytes bytes,
                             sim::SimTime sendTime, sim::SimTime deliverTime) {
   // The pair matrix is only ever read by the metrics export, and a
   // hash-map update per message is measurable on the shared-file path.
-  if (!metricsJsonPath_.empty() || !metricsCsvPath_.empty())
+  if (recordPairs_)
     metrics_.recordPair(src, dst, bytes, deliverTime - sendTime);
   if (!tracing(Layer::kMpi)) return;
   TraceEvent ev;
@@ -173,10 +196,16 @@ Telemetry& Observability::telemetry() {
   return *telemetry_;
 }
 
+AttributionSink& Observability::attachAttribution() {
+  if (!attr_) {
+    attr_ = std::make_shared<AttributionSink>();
+    addSink(attr_);
+  }
+  return *attr_;
+}
+
 TelemetrySink& Observability::attachTelemetry(sim::Scheduler& sched,
-                                              double bucketDt,
-                                              std::string jsonPath,
-                                              std::string csvPath) {
+                                              double bucketDt) {
   if (!telemetrySink_) {
     Telemetry& reg = telemetry();
     reg.enable(sched, bucketDt);
@@ -185,26 +214,17 @@ TelemetrySink& Observability::attachTelemetry(sim::Scheduler& sched,
     telemetrySink_ = std::make_shared<TelemetrySink>(reg);
     addSink(telemetrySink_);
   }
-  if (!jsonPath.empty() || !csvPath.empty())
-    telemetrySink_->exportTo(std::move(jsonPath), std::move(csvPath));
   return *telemetrySink_;
 }
 
-OpTraceSink& Observability::attachOpTrace(std::uint32_t sampleEvery,
-                                          int tailN, std::string jsonPath) {
-  if (!opTracer_) {
+OpTracer& Observability::attachOpTrace(std::uint32_t sampleEvery) {
+  if (!opTracer_)
     opTracer_ = std::make_unique<OpTracer>(
-        sampleEvery > 0 ? sampleEvery : OpTracer::kDefaultSampleEvery,
-        tailN >= 0 ? tailN : OpTracer::kDefaultTailN);
-    opTraceSink_ = std::make_shared<OpTraceSink>(*opTracer_);
-    addSink(opTraceSink_);
-  }
-  if (!jsonPath.empty()) opTraceSink_->exportTo(std::move(jsonPath));
-  return *opTraceSink_;
+        sampleEvery > 0 ? sampleEvery : OpTracer::kDefaultSampleEvery);
+  return *opTracer_;
 }
 
-CritPathRecorder& Observability::attachCritPath(sim::Scheduler& sched,
-                                                std::string jsonPath) {
+CritPathRecorder& Observability::attachCritPath(sim::Scheduler& sched) {
   if (!critPath_) {
     critPath_ = std::make_shared<CritPathRecorder>();
     observeScheduler(sched);
@@ -213,16 +233,26 @@ CritPathRecorder& Observability::attachCritPath(sim::Scheduler& sched,
     sched.setHooks(schedProbe_.get());
     addSink(critPath_);
   }
-  if (!jsonPath.empty()) critPath_->exportTo(std::move(jsonPath));
   return *critPath_;
+}
+
+void Observability::exportArtifact(Artifact kind, std::string path) {
+  const bool attached = kind == Artifact::kMetrics ||
+                        (kind == Artifact::kAttr && attr_) ||
+                        (kind == Artifact::kCritPath && critPath_) ||
+                        (kind == Artifact::kTelemetry && telemetrySink_) ||
+                        (kind == Artifact::kOpTrace && opTracer_);
+  SIM_CHECK(attached, "exportArtifact: attach the artifact's recorder first");
+  exportPaths_[static_cast<std::size_t>(kind)] = std::move(path);
+  recordPairs_ = !exportPaths_[static_cast<std::size_t>(Artifact::kMetrics)]
+                      .empty();
 }
 
 void Observability::finalize(sim::SimTime horizon) {
   if (finalized_) {
-    // Already derived and finalized (manual call before the exportOnDestroy
-    // teardown, say): deriving again would divide busy-seconds by a new
-    // horizon and double-count nothing but still overwrite — skip, just
-    // re-flush so late events reach disk.
+    // Already derived, finalized and written (a manual call before the
+    // destructor's, say): deriving again would divide busy-seconds by a
+    // new horizon — skip, just re-flush so late events reach disk.
     for (const auto& sink : sinks_) sink->flush();
     return;
   }
@@ -244,22 +274,29 @@ void Observability::finalize(sim::SimTime horizon) {
     metrics_.gauge("sim.horizon_seconds").set(horizon);
   }
   for (const auto& sink : sinks_) sink->finalize(horizon);
+  if (opTracer_) opTracer_->closeOut(horizon);
   // Tie the sampled view to the exact event view: whenever both sinks are
   // attached, their independently integrated busy times must agree.
-  if (telemetrySink_ && telemetrySink_->finalized()) {
-    for (const auto& sink : sinks_) {
-      const auto* attr = dynamic_cast<const AttributionSink*>(sink.get());
-      if (attr != nullptr && attr->finalized())
-        telemetrySink_->crossCheckAttribution(attr->report());
-    }
-  }
+  if (telemetrySink_ && attr_)
+    telemetrySink_->crossCheckAttribution(attr_->report());
   for (const auto& sink : sinks_) sink->flush();
+  for (int k = 0; k < kNumArtifacts; ++k) {
+    const auto kind = static_cast<Artifact>(k);
+    const std::string& path = exportPaths_[static_cast<std::size_t>(k)];
+    if (!path.empty())
+      writeArtifactFile(artifactName(kind), path, renderJson(kind));
+  }
 }
 
-void Observability::exportOnDestroy(std::string metricsJsonPath,
-                                    std::string metricsCsvPath) {
-  metricsJsonPath_ = std::move(metricsJsonPath);
-  metricsCsvPath_ = std::move(metricsCsvPath);
+std::string Observability::renderJson(Artifact kind) const {
+  switch (kind) {
+    case Artifact::kMetrics: return metrics_.toJson();
+    case Artifact::kAttr: return attr_->report().toJson();
+    case Artifact::kCritPath: return critPath_->path().toJson();
+    case Artifact::kTelemetry: return telemetrySink_->toJson();
+    case Artifact::kOpTrace: return opTracer_->toJson();
+  }
+  return {};
 }
 
 }  // namespace bgckpt::obs

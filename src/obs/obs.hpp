@@ -11,9 +11,16 @@
 // emission site is one failed bit test. Callers attach what they read —
 // prof::IoProfileSink (profiling/profile.hpp) for a per-op profile, a
 // ChromeTraceSink when the user asks for a trace file.
+//
+// The hub is also the one export path for the JSON artifacts (metrics,
+// attr, critpath, telemetry, optrace): exportArtifact registers a kind and
+// a path, and the first finalize writes each one through writeArtifactFile.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -23,11 +30,32 @@
 namespace bgckpt::obs {
 
 class Observability;
+class AttributionSink;
 class CritPathRecorder;
 class Telemetry;
 class TelemetrySink;
 class OpTracer;
-class OpTraceSink;
+
+/// The JSON artifacts the hub writes at finalize, one file per registered
+/// kind, each rendered by the toJson() of the recorder that owns it.
+enum class Artifact : std::uint8_t {
+  kMetrics = 0,  // MetricsRegistry (always present)
+  kAttr,         // AttributionSink report (attachAttribution)
+  kCritPath,     // CritPathRecorder path (attachCritPath)
+  kTelemetry,    // TelemetrySink series (attachTelemetry)
+  kOpTrace,      // OpTracer report (attachOpTrace)
+};
+inline constexpr int kNumArtifacts = 5;
+
+/// The artifact's name in manifests and error lines: "metrics", "attr",
+/// "critpath", "telemetry", "optrace".
+const char* artifactName(Artifact kind);
+
+/// The one routine that writes an obs artifact file: `text` to `path`. On
+/// failure prints "error: <name>: cannot write PATH" on stderr and returns
+/// false.
+bool writeArtifactFile(const char* name, const std::string& path,
+                       const std::string& text);
 
 /// sim::SchedulerHooks implementation: counts dispatched events, tracks the
 /// event-queue high-water mark, and emits one span per root task on the
@@ -88,8 +116,8 @@ class Observability {
   void completeBytes(Layer layer, int tid, const char* name,
                      sim::SimTime start, sim::SimTime end, sim::Bytes bytes);
   /// MPI message delivery: complete event on the sender's row plus the
-  /// per-pair metrics entry (recorded only when exportOnDestroy has set a
-  /// metrics path, since nothing else reads the pair matrix).
+  /// per-pair metrics entry (recorded only when the metrics artifact is
+  /// registered, since nothing else reads the pair matrix).
   void message(int src, int dst, sim::Bytes bytes, sim::SimTime sendTime,
                sim::SimTime deliverTime);
   void counterSample(Layer layer, const char* name, sim::SimTime ts,
@@ -102,14 +130,15 @@ class Observability {
   /// order already guarantees this; tests use it directly).
   void releaseScheduler();
 
+  /// Attach the hub's blocked-time attribution sink (obs/attr.hpp), the
+  /// one the `attr` artifact renders. Repeated calls return the same sink.
+  AttributionSink& attachAttribution();
+
   /// Start recording the causal event graph of `sched` (installing the
   /// scheduler probe if necessary) and register the recorder as a sink so
-  /// it finalizes/exports with everything else. `jsonPath` (optional)
-  /// receives the critical-path report at finalize. Returns the recorder
-  /// for in-process queries; repeated calls return the existing one.
-  CritPathRecorder& attachCritPath(sim::Scheduler& sched,
-                                   std::string jsonPath = "");
-  CritPathRecorder* critPath() const { return critPath_.get(); }
+  /// it finalizes with everything else. Returns the recorder for
+  /// in-process queries; repeated calls return the existing one.
+  CritPathRecorder& attachCritPath(sim::Scheduler& sched);
 
   /// The sampled-telemetry probe registry (obs/telemetry.hpp). Layers
   /// resolve Probe handles here at construction; probes stay dormant (one
@@ -118,53 +147,51 @@ class Observability {
 
   /// Start sampled telemetry on `sched`: enables the registry at bucket
   /// width `bucketDt` (<=0 = default), wires the sampling cadence into the
-  /// scheduler probe, and registers a TelemetrySink so series close and
-  /// export (optional JSON/CSV paths) at finalize. Repeated calls return
-  /// the existing sink. Finalize cross-checks the sampled busy time
-  /// against any attached AttributionSink.
-  TelemetrySink& attachTelemetry(sim::Scheduler& sched, double bucketDt = 0.0,
-                                 std::string jsonPath = "",
-                                 std::string csvPath = "");
-  TelemetrySink* telemetrySink() const { return telemetrySink_.get(); }
+  /// scheduler probe, and registers a TelemetrySink so series close at
+  /// finalize. Repeated calls return the existing sink. Finalize
+  /// cross-checks the sampled busy time against attachAttribution's sink
+  /// when both are attached.
+  TelemetrySink& attachTelemetry(sim::Scheduler& sched, double bucketDt = 0.0);
 
-  /// Start per-request causal tracing (obs/optrace.hpp): creates the
-  /// OpTracer (1-in-`sampleEvery` waterfall retention, `tailN` slowest
-  /// always kept) and registers an OpTraceSink so the tracer closes out and
-  /// exports its JSON (optional path) at finalize. Repeated calls return
-  /// the existing sink; a non-empty path on a later call updates the
-  /// export destination.
-  OpTraceSink& attachOpTrace(std::uint32_t sampleEvery = 0, int tailN = -1,
-                             std::string jsonPath = "");
+  /// Start per-request causal tracing (obs/optrace.hpp) with 1-in-
+  /// `sampleEvery` waterfall retention (0 = the default); finalize closes
+  /// the tracer out. Repeated calls return the existing tracer.
+  OpTracer& attachOpTrace(std::uint32_t sampleEvery = 0);
   /// The tracer for strategy-level minting; nullptr until attachOpTrace.
   /// Layers never call this — they receive contexts by value.
   OpTracer* opTracer() const { return opTracer_.get(); }
-  OpTraceSink* opTraceSink() const { return opTraceSink_.get(); }
+
+  /// Write `kind`'s JSON to `path` at finalize. Its recorder must already
+  /// be attached (metrics always is). A file that cannot be written prints
+  /// "error: <kind>: cannot write PATH" on stderr.
+  void exportArtifact(Artifact kind, std::string path);
 
   /// Convert accumulated busy-seconds gauges into utilization gauges over
-  /// [0, horizon] and finalize + flush all sinks. Idempotent: the first
-  /// call wins (later calls — e.g. the exportOnDestroy teardown after a
-  /// manual finalize — only re-flush, so gauges are never derived twice).
+  /// [0, horizon], finalize + flush all sinks, close out the op tracer and
+  /// write every registered artifact. Idempotent: the first call wins
+  /// (later calls — e.g. the destructor's after a manual finalize — only
+  /// re-flush, so gauges are never derived twice and no file is rewritten).
   void finalize(sim::SimTime horizon);
 
-  /// Ask the destructor to call finalize(scheduler.now()) and write the
-  /// metrics files (empty path = skip that format). Used by bench/common
-  /// so every harness exports on exit without bespoke teardown code.
-  void exportOnDestroy(std::string metricsJsonPath, std::string metricsCsvPath);
-
  private:
+  /// `kind`'s JSON, rendered by the recorder that owns it.
+  std::string renderJson(Artifact kind) const;
+
   MetricsRegistry metrics_;
   std::vector<std::shared_ptr<TraceSink>> sinks_;
   unsigned mask_ = 0;
   std::unique_ptr<SchedulerProbe> schedProbe_;
   sim::Scheduler* observedSched_ = nullptr;
+  std::shared_ptr<AttributionSink> attr_;
   std::shared_ptr<CritPathRecorder> critPath_;
   std::unique_ptr<Telemetry> telemetry_;
   std::shared_ptr<TelemetrySink> telemetrySink_;
   std::unique_ptr<OpTracer> opTracer_;
-  std::shared_ptr<OpTraceSink> opTraceSink_;
   bool finalized_ = false;
-  std::string metricsJsonPath_;
-  std::string metricsCsvPath_;
+  // Indexed by Artifact; empty = not exported.
+  std::array<std::string, kNumArtifacts> exportPaths_;
+  // Cached exportPaths_[kMetrics] non-empty: message()'s one branch.
+  bool recordPairs_ = false;
 };
 
 /// RAII span for one I/O operation on the kIo layer: emits a complete

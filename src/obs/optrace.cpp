@@ -1,28 +1,16 @@
 #include "obs/optrace.hpp"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
-#include <fstream>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "simcore/simcheck.hpp"
 
 namespace bgckpt::obs {
 
+using json::appendf;
+
 namespace {
-
-void appendf(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
 
 void appendNum(std::string& out, double v) { appendf(out, "%.9g", v); }
 
@@ -366,20 +354,6 @@ std::string OpTracer::toJson() const {
   }
   out += "\n  ]\n}\n";
   return out;
-}
-
-void OpTraceSink::exportTo(std::string jsonPath) {
-  if (!jsonPath.empty()) jsonPath_ = std::move(jsonPath);
-}
-
-void OpTraceSink::finalize(sim::SimTime horizon) {
-  if (finalized_) return;
-  finalized_ = true;
-  tracer_->closeOut(horizon);
-  if (!jsonPath_.empty()) {
-    std::ofstream out(jsonPath_);
-    if (out) out << tracer_->toJson();
-  }
 }
 
 }  // namespace bgckpt::obs

@@ -227,25 +227,4 @@ inline OpTraceContext mintOpTrace(OpTracer* tracer, int rank, const char* op,
   return tracer->mint(rank, op, offset, bytes, now);
 }
 
-/// Sink adapter: consumes no TraceEvents (layerMask 0) but hooks the
-/// Observability finalize/flush cycle to close out the tracer and write the
-/// JSON artifact next to the other obs exports.
-class OpTraceSink final : public TraceSink {
- public:
-  explicit OpTraceSink(OpTracer& tracer) : tracer_(&tracer) {}
-
-  void exportTo(std::string jsonPath);
-  void event(const TraceEvent&) override {}
-  unsigned layerMask() const override { return 0; }
-  void finalize(sim::SimTime horizon) override;
-  bool finalized() const { return finalized_; }
-
-  const OpTracer& tracer() const { return *tracer_; }
-
- private:
-  OpTracer* tracer_;
-  std::string jsonPath_;
-  bool finalized_ = false;
-};
-
 }  // namespace bgckpt::obs

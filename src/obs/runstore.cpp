@@ -14,30 +14,11 @@
 
 namespace bgckpt::obs {
 
+using json::escapeInto;
+
 namespace {
 
 namespace fs = std::filesystem;
-
-void escapeInto(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-}
 
 void canonicalInto(std::string& out, const json::Value& v) {
   using Type = json::Value::Type;

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <utility>
 
+#include "obs/json.hpp"
+
 namespace bgckpt::obs {
+
+using json::appendf;
 
 namespace {
 
@@ -18,22 +21,10 @@ std::uint64_t nowNs() noexcept {
           .count());
 }
 
-void writeEscaped(std::FILE* f, const std::string& s) {
-  std::fputc('"', f);
-  for (char c : s) {
-    switch (c) {
-      case '"': std::fputs("\\\"", f); break;
-      case '\\': std::fputs("\\\\", f); break;
-      case '\n': std::fputs("\\n", f); break;
-      case '\t': std::fputs("\\t", f); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          std::fprintf(f, "\\u%04x", c);
-        else
-          std::fputc(c, f);
-    }
-  }
-  std::fputc('"', f);
+void appendQuoted(std::string& out, const std::string& s) {
+  out += '"';
+  json::escapeInto(out, s);
+  out += '"';
 }
 
 }  // namespace
@@ -143,16 +134,15 @@ void RuntimeProfiler::parallelForEnd(std::uint64_t id) noexcept {
   }
 }
 
-bool RuntimeProfiler::writeJson(const std::string& path) const {
+std::string RuntimeProfiler::toJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  std::fprintf(f, "{\n  \"schema\": \"%s\",\n  \"clock\": \"steady\",\n",
-               kRuntimeProfSchemaVersion);
-  std::fprintf(f, "  \"dropped_regions\": %llu,\n",
-               static_cast<unsigned long long>(droppedRegions_));
+  std::string out;
+  appendf(out, "{\n  \"schema\": \"%s\",\n  \"clock\": \"steady\",\n",
+          kRuntimeProfSchemaVersion);
+  appendf(out, "  \"dropped_regions\": %llu,\n",
+          static_cast<unsigned long long>(droppedRegions_));
 
-  std::fputs("  \"parallel_regions\": [", f);
+  out += "  \"parallel_regions\": [";
   for (std::size_t r = 0; r < regions_.size(); ++r) {
     const ParallelRegionProfile& reg = *regions_[r];
     std::uint64_t sum = 0, maxJob = 0;
@@ -160,40 +150,37 @@ bool RuntimeProfiler::writeJson(const std::string& path) const {
       sum += j.ns;
       maxJob = std::max(maxJob, j.ns);
     }
-    std::fprintf(f, "%s\n    {\"id\": %llu, \"jobs\": %zu, \"threads\": %u, "
-                 "\"wall_ns\": %llu, \"sum_job_ns\": %llu, "
-                 "\"max_job_ns\": %llu,\n     \"jobs_detail\": [",
-                 r == 0 ? "" : ",",
-                 static_cast<unsigned long long>(reg.id), reg.jobs,
-                 reg.threads, static_cast<unsigned long long>(reg.wallNs),
-                 static_cast<unsigned long long>(sum),
-                 static_cast<unsigned long long>(maxJob));
+    appendf(out, "%s\n    {\"id\": %llu, \"jobs\": %zu, \"threads\": %u, "
+            "\"wall_ns\": %llu, \"sum_job_ns\": %llu, "
+            "\"max_job_ns\": %llu,\n     \"jobs_detail\": [",
+            r == 0 ? "" : ",", static_cast<unsigned long long>(reg.id),
+            reg.jobs, reg.threads, static_cast<unsigned long long>(reg.wallNs),
+            static_cast<unsigned long long>(sum),
+            static_cast<unsigned long long>(maxJob));
     for (std::size_t i = 0; i < reg.perJob.size(); ++i) {
       const auto& j = reg.perJob[i];
-      std::fprintf(f, "%s\n      {\"job\": %zu, \"worker\": %u, \"ns\": %llu, "
-                   "\"label\": ",
-                   i == 0 ? "" : ",", i, j.worker,
-                   static_cast<unsigned long long>(j.ns));
-      writeEscaped(f, j.label);
-      std::fputs("}", f);
+      appendf(out, "%s\n      {\"job\": %zu, \"worker\": %u, \"ns\": %llu, "
+              "\"label\": ",
+              i == 0 ? "" : ",", i, j.worker,
+              static_cast<unsigned long long>(j.ns));
+      appendQuoted(out, j.label);
+      out += "}";
     }
-    std::fputs("]}", f);
+    out += "]}";
   }
-  std::fputs("],\n", f);
+  out += "],\n";
 
-  std::fputs("  \"points\": [", f);
+  out += "  \"points\": [";
   for (std::size_t i = 0; i < points_.size(); ++i) {
     const PointRecord& p = points_[i];
-    std::fprintf(f, "%s\n    {\"label\": ", i == 0 ? "" : ",");
-    writeEscaped(f, p.label);
-    std::fprintf(f, ", \"wall_s\": %.17g, \"events\": %llu, \"threads\": %u}",
-                 p.wallSeconds, static_cast<unsigned long long>(p.events),
-                 p.threads);
+    appendf(out, "%s\n    {\"label\": ", i == 0 ? "" : ",");
+    appendQuoted(out, p.label);
+    appendf(out, ", \"wall_s\": %.17g, \"events\": %llu, \"threads\": %u}",
+            p.wallSeconds, static_cast<unsigned long long>(p.events),
+            p.threads);
   }
-  std::fputs("]\n}\n", f);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
+  out += "]\n}\n";
+  return out;
 }
 
 }  // namespace bgckpt::obs

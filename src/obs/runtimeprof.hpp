@@ -12,8 +12,8 @@
 // Deliberately process-global rather than hung off the per-stack
 // Observability hub: real time cuts across stacks (one worker thread
 // runs many simulations under bench::runSims), so there is exactly
-// one profiler per process, installed with install() and exported with
-// writeJson(). bench/common wires it to --runtime-profile[=FILE].
+// one profiler per process, installed with install() and rendered with
+// toJson(). bench/common wires it to --runtime-profile[=FILE].
 //
 // Memory is bounded by construction: at most Config::maxRegions regions
 // are kept; later ones are only counted.
@@ -96,9 +96,8 @@ class RuntimeProfiler final : public sim::RuntimeObserver {
               unsigned worker) noexcept override;
   void parallelForEnd(std::uint64_t id) noexcept override;
 
-  /// Export the profile as JSON (schema bgckpt-runtimeprof-2). Returns
-  /// false on I/O failure.
-  bool writeJson(const std::string& path) const;
+  /// The profile as JSON (schema bgckpt-runtimeprof-2).
+  std::string toJson() const;
 
   // Introspection for tests and reports.
   const std::vector<std::unique_ptr<ParallelRegionProfile>>& regions() const {

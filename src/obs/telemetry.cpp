@@ -2,26 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
-#include <fstream>
 #include <string_view>
 
-#include "obs/metrics.hpp"
+#include "obs/json.hpp"
 #include "simcore/simcheck.hpp"
 
 namespace bgckpt::obs {
 
-namespace {
+using json::appendf;
 
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
+namespace {
 
 void appendNum(std::string& out, double v) {
   // %.12g is lossless for the magnitudes telemetry handles and keeps the
@@ -202,11 +192,6 @@ ImbalanceStats computeImbalance(
 
 // -------------------------------------------------------- TelemetrySink --
 
-void TelemetrySink::exportTo(std::string jsonPath, std::string csvPath) {
-  if (!jsonPath.empty()) jsonPath_ = std::move(jsonPath);
-  if (!csvPath.empty()) csvPath_ = std::move(csvPath);
-}
-
 void TelemetrySink::event(const TraceEvent& ev) {
   if (ev.layer != Layer::kApp || ev.tid < 0) return;
   if (std::string_view(ev.name) != "checkpoint") return;
@@ -243,14 +228,6 @@ void TelemetrySink::finalize(sim::SimTime horizon) {
     }
   }
   reg_->closeOut(horizon);
-  if (!jsonPath_.empty()) {
-    std::ofstream out(jsonPath_);
-    if (out) out << toJson();
-  }
-  if (!csvPath_.empty()) {
-    std::ofstream out(csvPath_);
-    if (out) out << toCsv();
-  }
 }
 
 namespace {
@@ -409,29 +386,6 @@ std::string TelemetrySink::toJson() const {
     appendNum(out, busy_[r]);
   }
   out += "]}\n}\n";
-  return out;
-}
-
-std::string TelemetrySink::toCsv() const {
-  const double dt = reg_->bucketDt();
-  std::string out = "series,kind,instance,bucket,t0,v0,v1,v2,v3\n";
-  for (const auto& p : reg_->probes()) {
-    for (int i = 0; i < p->instances(); ++i) {
-      const SeriesExport ex = exportSeries(*p, p->seriesAt(i), dt);
-      for (std::size_t r = 0; r < ex.rows.size(); ++r) {
-        const auto gi = ex.first + static_cast<std::int64_t>(r);
-        appendf(out, "%s,%s,%d,%lld,", csvField(p->name()).c_str(),
-                probeKindName(p->kind()), i, static_cast<long long>(gi));
-        appendNum(out, static_cast<double>(gi) * dt);
-        for (double v : ex.rows[r]) {
-          out += ",";
-          appendNum(out, v);
-        }
-        if (ex.rows[r].size() == 2) out += ",,";  // counter/rate rows
-        out += "\n";
-      }
-    }
-  }
   return out;
 }
 

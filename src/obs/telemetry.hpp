@@ -19,8 +19,8 @@
 //   TelemetrySink  TraceSink adaptor: integrates exact per-rank busy time
 //               from the kApp checkpoint envelopes, closes all series at
 //               finalize, computes per-series imbalance analytics, and
-//               writes the JSON/CSV exports read by `trace_report
-//               --timeline`.
+//               renders the JSON (written by the hub) that `trace_report
+//               --timeline` reads.
 //
 // Sampling model: every series is a piecewise-constant level (counters and
 // rates accumulate into a cumulative level). Updates integrate the level
@@ -147,7 +147,6 @@ class Telemetry {
   /// Integrate every series up to `horizon` (finalize path; idempotent for
   /// a fixed horizon).
   void closeOut(sim::SimTime horizon);
-  sim::SimTime horizon() const { return horizon_; }
 
  private:
   friend class Probe;
@@ -178,20 +177,16 @@ ImbalanceStats computeImbalance(
     const std::vector<double>& totals,
     const std::vector<std::vector<double>>& bucketLoad, double dt);
 
-/// TraceSink adaptor: kApp envelope integration, finalize-time export, and
-/// the attribution cross-check.
+/// TraceSink adaptor: kApp envelope integration, finalize-time close-out,
+/// and the attribution cross-check.
 class TelemetrySink final : public TraceSink {
  public:
   explicit TelemetrySink(Telemetry& reg) : reg_(&reg) {}
-
-  /// Request file export at finalize; empty path skips that format.
-  void exportTo(std::string jsonPath, std::string csvPath);
 
   void event(const TraceEvent& ev) override;
   void finalize(sim::SimTime horizon) override;
   unsigned layerMask() const override { return layerBit(Layer::kApp); }
 
-  bool finalized() const { return finalized_; }
   /// Exact per-rank checkpoint-envelope seconds (index = rank). Valid any
   /// time; closed against the horizon after finalize().
   const std::vector<double>& rankBusySeconds() const { return busy_; }
@@ -202,7 +197,6 @@ class TelemetrySink final : public TraceSink {
   std::vector<std::vector<double>> loadMatrix(const Probe& p) const;
 
   std::string toJson() const;  // valid after finalize()
-  std::string toCsv() const;
 
   /// SIM_CHECK that every rank's sampled busy time matches the exclusive
   /// attribution partition within one bucket width.
@@ -210,8 +204,6 @@ class TelemetrySink final : public TraceSink {
 
  private:
   Telemetry* reg_;
-  std::string jsonPath_;
-  std::string csvPath_;
   std::vector<double> busy_;
   std::vector<sim::SimTime> open_;  // open envelope start per rank, or -1
   Probe* activeRanks_ = nullptr;    // "app.active_ranks" gauge

@@ -69,9 +69,9 @@ class TraceSink {
   virtual void event(const TraceEvent& ev) = 0;
   virtual void flush() {}
   /// End of run: the horizon is the final simulated time. Sinks that
-  /// aggregate (attribution, flight recorder) finish their computation and
-  /// write any requested exports here. Called exactly once, before the
-  /// final flush(), by Observability::finalize.
+  /// aggregate (attribution, flight recorder) finish their computation
+  /// here. Called exactly once, before the final flush(), by
+  /// Observability::finalize, which then writes the registered artifacts.
   virtual void finalize(sim::SimTime /*horizon*/) {}
   /// OR of layerBit() for the layers this sink consumes. Producers skip
   /// emission entirely when no attached sink wants their layer.

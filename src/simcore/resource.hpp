@@ -3,8 +3,8 @@
 // A `Resource` models a server, link slot pool, or token bucket: it holds a
 // fixed number of tokens; `acquire(n)` suspends until `n` tokens can be
 // granted, strictly in arrival order (no small-request bypass — this is the
-// queueing discipline of a storage server or lock manager). `Mutex` is the
-// single-token special case. `ScopedTokens` releases on destruction.
+// queueing discipline of a storage server or lock manager). A one-token
+// Resource is a mutex. `ScopedTokens` releases on destruction.
 //
 // When a SimChecker is installed on the scheduler (simcheck.hpp), every
 // release is balance-checked against the token total and each Resource
@@ -145,18 +145,6 @@ class [[nodiscard]] ScopedTokens {
  private:
   Resource* res_;
   std::int64_t n_;
-};
-
-class Mutex {
- public:
-  explicit Mutex(Scheduler& sched, const char* name = "mutex")
-      : res_(sched, 1, name) {}
-  [[nodiscard]] auto lock() { return res_.acquire(1); }
-  void unlock() { res_.release(1); }
-  Resource& resource() { return res_; }
-
- private:
-  Resource res_;
 };
 
 }  // namespace bgckpt::sim

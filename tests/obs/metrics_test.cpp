@@ -1,7 +1,4 @@
-// RFC 4180 CSV quoting for the obs exporters: plain fields pass through,
-// fields containing separators or quotes are quoted with embedded quotes
-// doubled, and the metrics CSV export applies this to metric names. Also
-// the JSON export's MPI top-pairs order.
+// The metrics JSON export's MPI top-pairs order.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -10,29 +7,6 @@
 
 namespace bgckpt::obs {
 namespace {
-
-TEST(CsvField, PlainFieldsPassThrough) {
-  EXPECT_EQ(csvField(""), "");
-  EXPECT_EQ(csvField("io.write.bytes"), "io.write.bytes");
-  EXPECT_EQ(csvField("has space"), "has space");
-}
-
-TEST(CsvField, SeparatorsAndQuotesAreQuoted) {
-  EXPECT_EQ(csvField("a,b"), "\"a,b\"");
-  EXPECT_EQ(csvField("line\nbreak"), "\"line\nbreak\"");
-  EXPECT_EQ(csvField("cr\rhere"), "\"cr\rhere\"");
-  EXPECT_EQ(csvField("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(csvField("\""), "\"\"\"\"");
-}
-
-TEST(CsvField, MetricsCsvQuotesNames) {
-  MetricsRegistry reg;
-  reg.counter("plain.name").add(1);
-  reg.counter("odd,name").add(2);
-  const std::string csv = reg.toCsv();
-  EXPECT_NE(csv.find("counter,plain.name,1"), std::string::npos);
-  EXPECT_NE(csv.find("counter,\"odd,name\",2"), std::string::npos);
-}
 
 TEST(MetricsRegistry, TopPairsOrderIndependentOfInsertionOrder) {
   // More equal-byte pairs than the export keeps (64), so both the order and

@@ -5,12 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <numeric>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,22 +16,10 @@
 namespace bgckpt::obs {
 namespace {
 
-std::string tmpPath(const char* name) {
-  const char* t = std::getenv("TMPDIR");
-  return std::string(t != nullptr ? t : "/tmp") + "/" + name;
-}
-
-// Export `prof` to a scratch file and parse it back.
-std::optional<json::Value> exportAndParse(const RuntimeProfiler& prof,
-                                          const char* name) {
-  const std::string path = tmpPath(name);
-  if (!prof.writeJson(path)) return std::nullopt;
-  std::ifstream in(path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  std::remove(path.c_str());
+// Render `prof` and parse it back.
+std::optional<json::Value> exportAndParse(const RuntimeProfiler& prof) {
   std::string parseError;
-  auto doc = json::parse(ss.str(), &parseError);
+  auto doc = json::parse(prof.toJson(), &parseError);
   EXPECT_TRUE(doc.has_value()) << parseError;
   return doc;
 }
@@ -81,7 +65,7 @@ TEST(RuntimeProfiler, RetentionCapCountsDroppedRegions) {
   prof.uninstall();
   EXPECT_EQ(prof.regions().size(), 1u);
 
-  const auto doc = exportAndParse(prof, "runtimeprof_cap.json");
+  const auto doc = exportAndParse(prof);
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->numberOr("dropped_regions", 0), 1.0);
   const auto* regions = doc->find("parallel_regions");
@@ -97,7 +81,7 @@ TEST(RuntimeProfiler, WriteJsonRoundTripsThroughParser) {
   prof.recordPoint("j0", 1.25, 1000, 2);
   prof.uninstall();
 
-  const auto doc = exportAndParse(prof, "runtimeprof_roundtrip.json");
+  const auto doc = exportAndParse(prof);
   ASSERT_TRUE(doc.has_value());
 
   EXPECT_EQ(doc->stringOr("schema", ""), kRuntimeProfSchemaVersion);

@@ -180,8 +180,7 @@ TEST(TelemetryStack, ExportIsByteIdenticalAcrossIdenticalRuns) {
 
 TEST(TelemetryStack, SampledBusyMatchesAttributionPartition) {
   iolib::SimStack stack(256, quiet());
-  auto attr = std::make_shared<AttributionSink>();
-  stack.obs.addSink(attr);
+  const AttributionSink& attr = stack.obs.attachAttribution();
   const double dt = 0.001;
   TelemetrySink& sink = stack.obs.attachTelemetry(stack.sched, dt);
   iolib::runCheckpoint(stack, smallSpec(), iolib::StrategyConfig::onePfpp());
@@ -189,7 +188,7 @@ TEST(TelemetryStack, SampledBusyMatchesAttributionPartition) {
   // same contract explicitly so a tolerance regression fails visibly here.
   stack.obs.finalize(stack.sched.now());
   ASSERT_TRUE(sink.sawEnvelopes());
-  const AttributionEngine::Report& report = attr->report();
+  const AttributionEngine::Report& report = attr.report();
   ASSERT_EQ(report.ranks.size(), 256u);
   const auto& busy = sink.rankBusySeconds();
   for (const auto& r : report.ranks) {

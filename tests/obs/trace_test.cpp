@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -131,7 +132,7 @@ TEST(ChromeTraceSink, CloseIsIdempotent) {
   ASSERT_TRUE(json::parse(chrome.str()).has_value());
 }
 
-TEST(MetricsRegistry, JsonAndCsvExportRoundTrip) {
+TEST(MetricsRegistry, JsonExportRoundTrip) {
   MetricsRegistry reg;
   reg.counter("fs.creates").add(3);
   reg.gauge("net.util").set(0.5);
@@ -155,11 +156,6 @@ TEST(MetricsRegistry, JsonAndCsvExportRoundTrip) {
   ASSERT_EQ(top->array->size(), 1u);
   EXPECT_DOUBLE_EQ((*top->array)[0].numberOr("bytes", 0), 8192.0);
   EXPECT_DOUBLE_EQ((*top->array)[0].numberOr("count", 0), 2.0);
-
-  const std::string csv = reg.toCsv();
-  EXPECT_NE(csv.find("counter,fs.creates,3"), std::string::npos);
-  EXPECT_NE(csv.find("fs.write.latency"), std::string::npos);
-  EXPECT_NE(csv.find("pair,1,2,"), std::string::npos);
 }
 
 TEST(Observability, FinalizeDerivesUtilization) {
@@ -203,7 +199,7 @@ TEST(Observability, MessagePairsRecordedOnlyForMetricsExport) {
       ("obs_pairs_" + std::to_string(::getpid()) + ".json");
   {
     Observability exported;
-    exported.exportOnDestroy(json.string(), "");
+    exported.exportArtifact(Artifact::kMetrics, json.string());
     exported.message(1, 2, 4096, 0.0, 1e-3);
     exported.message(1, 2, 4096, 0.0, 2e-3);
     ASSERT_EQ(exported.metrics().pairs().size(), 1u);
@@ -215,6 +211,37 @@ TEST(Observability, MessagePairsRecordedOnlyForMetricsExport) {
   const auto doc = json::parse(text);
   ASSERT_TRUE(doc.has_value()) << text;
   EXPECT_DOUBLE_EQ(doc->numberOr("mpiPairsTotal", 0), 1.0);
+}
+
+TEST(Observability, UnwritableArtifactsPrintOneErrorPerKind) {
+  // Every registered artifact goes through the hub's one writer, so every
+  // kind reports a failed write the same way, once, at the first finalize.
+  const std::string dir = "/nonexistent-obs-dir/";
+  sim::Scheduler sched;
+  testing::internal::CaptureStderr();
+  {
+    Observability obs;
+    obs.attachAttribution();
+    obs.attachCritPath(sched);
+    obs.attachTelemetry(sched, 1.0);
+    obs.attachOpTrace();
+    for (int k = 0; k < kNumArtifacts; ++k) {
+      const auto kind = static_cast<Artifact>(k);
+      obs.exportArtifact(kind, dir + artifactName(kind) + ".json");
+    }
+    obs.finalize(1.0);
+    obs.finalize(2.0);  // idempotent: no second write, no second error
+  }
+  const std::string err = testing::internal::GetCapturedStderr();
+  for (int k = 0; k < kNumArtifacts; ++k) {
+    const char* name = artifactName(static_cast<Artifact>(k));
+    const std::string line = std::string("error: ") + name +
+                             ": cannot write " + dir + name + ".json\n";
+    const auto first = err.find(line);
+    EXPECT_NE(first, std::string::npos) << err;
+    EXPECT_EQ(err.find(line, first + 1), std::string::npos) << err;
+  }
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), kNumArtifacts) << err;
 }
 
 TEST(Observability, SchedulerProbeCountsRootsAndEvents) {

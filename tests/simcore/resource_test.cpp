@@ -219,24 +219,5 @@ TEST(Fifo, EraseAndPopKeepArrivalOrderAcrossCompaction) {
   EXPECT_TRUE(model.empty());
 }
 
-TEST(Mutex, ProvidesMutualExclusion) {
-  Scheduler sched;
-  Mutex mu(sched);
-  int inside = 0;
-  int maxInside = 0;
-  auto body = [](Scheduler& s, Mutex& m, int& in, int& maxIn) -> Task<> {
-    co_await m.lock();
-    ++in;
-    maxIn = std::max(maxIn, in);
-    co_await s.delay(1.0);
-    --in;
-    m.unlock();
-  };
-  for (int i = 0; i < 8; ++i) sched.spawn(body(sched, mu, inside, maxInside));
-  sched.run();
-  EXPECT_EQ(maxInside, 1);
-  EXPECT_DOUBLE_EQ(sched.now(), 8.0);
-}
-
 }  // namespace
 }  // namespace bgckpt::sim

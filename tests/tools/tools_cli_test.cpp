@@ -4,9 +4,11 @@
 // fixture directory come in as compile definitions from CMake.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -124,6 +126,16 @@ TEST(TraceReportCli, ErrorsAreUsageExitCode) {
                 " --diff " + fixture("trace_rbio.jsonl"))
                 .exitCode,
             2);
+  // One input per run: a second one used to be reported on silently alone.
+  for (const char* mode : {"", " --attr"}) {
+    const auto r = run(traceReport() + mode + " " +
+                       fixture("trace_coio.jsonl") + " " +
+                       fixture("trace_rbio.jsonl"));
+    EXPECT_EQ(r.exitCode, 2) << mode << "\n" << r.output;
+    EXPECT_NE(r.output.find("error: expected one input file"),
+              std::string::npos)
+        << r.output;
+  }
 }
 
 TEST(TraceReportCli, TimelineModeRendersHeatmapAndImbalance) {
@@ -382,9 +394,12 @@ TEST(BenchFlagsCli, ThreadsRejectsMalformedValues) {
       {eq27Bin(), "--obs-dir", {}, true, ""},
       {benchBin("fig5_write_bandwidth"), "--max-np", {"16384x", "abc", "0"},
        true, ""},
-      {benchBin("eq7_measured_vs_model"), "--np", {"256abc", "-64", ""}, true,
+      // Well-formed counts with no Intrepid partition (exit 2, not an
+      // abort in the machine model).
+      {benchBin("eq7_measured_vs_model"), "--np",
+       {"256abc", "-64", "", "128", "192"}, true, ""},
+      {benchBin("production_campaign"), "--np", {"256abc", "x", "64"}, true,
        ""},
-      {benchBin("production_campaign"), "--np", {"256abc", "x"}, true, ""},
       {benchBin("production_campaign"), "--steps", {"3x", "-1"}, true, ""},
       {benchBin("production_campaign"), "--every", {"1.5", "0"}, true, ""},
   };
@@ -451,6 +466,41 @@ TEST(BenchFlagsCli, PerfJsonLeavesStdoutUnchanged) {
   EXPECT_EQ(plain.exitCode, 0) << plain.output;
   EXPECT_EQ(perf.exitCode, 0) << perf.output;
   EXPECT_EQ(plain.output, perf.output);
+}
+
+TEST(BenchFlagsCli, ObsDirWritesOneJsonAndManifestPerArtifact) {
+  // eq7 simulates two stacks (coIO, rbIO), so every artifact comes twice:
+  // FILE and FILE.2. Each is one JSON (the trace adds its .jsonl event
+  // log) plus one manifest sidecar naming the artifact; nothing else.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("obs_dir_eq7_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const auto r = run(benchBin("eq7_measured_vs_model") +
+                     " --np 256 --obs-dir=" + dir.string());
+  ASSERT_EQ(r.exitCode, 0) << r.output;
+  std::vector<std::string> expected;
+  for (const char* kind :
+       {"trace", "metrics", "attr", "critpath", "telemetry", "optrace"}) {
+    for (const char* suffix : {".json", ".2.json"}) {
+      const std::string json = std::string(kind) + suffix;
+      expected.push_back(json);
+      expected.push_back(json + ".manifest.json");
+      if (std::string(kind) == "trace") expected.push_back(json + "l");
+      std::ifstream manifest(dir / (json + ".manifest.json"));
+      const std::string text((std::istreambuf_iterator<char>(manifest)),
+                             std::istreambuf_iterator<char>());
+      EXPECT_NE(text.find(std::string("\"artifact\": \"") + kind + "\""),
+                std::string::npos)
+          << json << "\n" << text;
+    }
+  }
+  std::vector<std::string> written;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    written.push_back(entry.path().filename().string());
+  std::filesystem::remove_all(dir);
+  std::sort(expected.begin(), expected.end());
+  std::sort(written.begin(), written.end());
+  EXPECT_EQ(written, expected);
 }
 
 TEST(BenchFlagsCli, ThreadsAcceptsPositiveInteger) {
@@ -534,6 +584,13 @@ TEST(SweepCli, RejectsUnknownSpecSchema) {
                      " --ledger " + ledger.str());
   EXPECT_EQ(r.exitCode, 2) << r.output;
   EXPECT_NE(r.output.find("not supported"), std::string::npos) << r.output;
+  // A second spec is a usage error, not silently the only one swept.
+  const auto two = run(sweepBin() + " " + fixture("telemetry_badschema.json") +
+                       " " + fixture("sweep_smoke.json") + " --ledger " +
+                       ledger.str());
+  EXPECT_EQ(two.exitCode, 2) << two.output;
+  EXPECT_NE(two.output.find("usage: sweep"), std::string::npos) << two.output;
+  EXPECT_EQ(two.output.find("not supported"), std::string::npos) << two.output;
 }
 
 TEST(CampaignCli, RendersBandwidthTableAndBestStrategyMatrix) {

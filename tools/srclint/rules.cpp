@@ -613,8 +613,8 @@ void coroSpawnDanglingRule(FileCtx& ctx) {
 
 const std::set<std::string> kOrderedSinkIdents = {
     "printf", "fprintf", "sprintf",  "snprintf",      "puts",
-    "fputs",  "fwrite",  "appendf",  "appendNum",     "csvField",
-    "emit",   "counterSample",
+    "fputs",  "fwrite",  "appendf",  "appendNum",     "emit",
+    "counterSample",
 };
 const std::set<std::string> kStreamIdents = {"cout", "cerr", "clog", "os",
                                              "out"};

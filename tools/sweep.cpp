@@ -326,9 +326,9 @@ int main(int argc, char** argv) {
             "directory holding the bench binaries", Form::kSpaced, "DIR")});
   std::vector<std::string> specs;
   cli.parseOrExit(argc, argv, &specs);
-  if (specs.empty() || ledgerDir.empty())
-    return cli.usageError("need a spec file and --ledger DIR");
-  const char* specPath = specs.back().c_str();
+  if (specs.size() != 1 || ledgerDir.empty())
+    return cli.usageError("need one spec file and --ledger DIR");
+  const char* specPath = specs.front().c_str();
 
   std::ifstream in(specPath);
   if (!in) {

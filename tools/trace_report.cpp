@@ -57,6 +57,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -65,6 +66,7 @@
 #include "obs/attr.hpp"
 #include "obs/cli.hpp"
 #include "obs/json.hpp"
+#include "obs/obs.hpp"
 #include "obs/optrace.hpp"
 #include "obs/runstore.hpp"
 #include "obs/runtimeprof.hpp"
@@ -101,43 +103,99 @@ bool layerFromName(const std::string& cat, bgckpt::obs::Layer* layer) {
   return false;
 }
 
-/// Replay a JSONL event log through the attribution engine. Returns false
-/// (with a message on stderr) when the file cannot be read or parsed.
-bool loadAttribution(const char* path,
-                     bgckpt::obs::AttributionEngine::Report* out) {
+struct ReplayStats {
+  std::uint64_t lines = 0;        // non-empty lines
+  std::uint64_t parseErrors = 0;  // not a JSON object, or no known layer
+  double horizon = 0;             // max ts + dur over the replayed events
+};
+
+/// Replay a JSONL event log into the sinks attached to `hub`, each line as
+/// the obs::TraceEvent the live run emitted. Returns false (with a message
+/// on stderr) when the file cannot be opened.
+bool replayJsonl(const char* path, bgckpt::obs::Observability& hub,
+                 ReplayStats* stats) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "trace_report: cannot open %s\n", path);
     return false;
   }
-  bgckpt::obs::AttributionEngine engine;
-  double horizon = 0;
-  std::uint64_t parseErrors = 0;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
+    ++stats->lines;
     const auto doc = bgckpt::obs::json::parse(line);
-    if (!doc || !doc->isObject()) {
-      ++parseErrors;
+    bgckpt::obs::TraceEvent ev;
+    if (!doc || !doc->isObject() ||
+        !layerFromName(doc->stringOr("cat", "?"), &ev.layer)) {
+      ++stats->parseErrors;
       continue;
     }
-    bgckpt::obs::TraceEvent ev;
-    if (!layerFromName(doc->stringOr("cat", "?"), &ev.layer)) continue;
     const std::string ph = doc->stringOr("ph", "X");
     ev.phase = ph.empty() ? 'X' : ph[0];
     ev.tid = static_cast<int>(doc->numberOr("tid", 0));
     ev.name = internName(doc->stringOr("name", "?"));
     ev.ts = doc->numberOr("ts", 0);
     ev.dur = doc->numberOr("dur", 0);
-    horizon = std::max(horizon, ev.ts + ev.dur);
-    engine.addEvent(ev);
+    ev.hasBytes = doc->find("bytes") != nullptr;
+    ev.bytes = static_cast<std::uint64_t>(doc->numberOr("bytes", 0));
+    stats->horizon = std::max(stats->horizon, ev.ts + ev.dur);
+    // srclint:allow(obs-emit): a replayed event is already complete; emit is the hub's own layer-mask fan-out to its registered sinks
+    hub.emit(ev);
   }
-  if (parseErrors)
-    std::fprintf(stderr, "trace_report: %s: %" PRIu64 " unparseable lines\n",
-                 path, parseErrors);
-  *out = engine.compute(horizon);
   return true;
 }
+
+/// Replay a JSONL event log through the attribution sink. Returns false
+/// (with a message on stderr) when the file cannot be read.
+bool loadAttribution(const char* path,
+                     bgckpt::obs::AttributionEngine::Report* out) {
+  bgckpt::obs::Observability hub;
+  const bgckpt::obs::AttributionSink& attr = hub.attachAttribution();
+  ReplayStats stats;
+  if (!replayJsonl(path, hub, &stats)) return false;
+  if (stats.parseErrors)
+    std::fprintf(stderr, "trace_report: %s: %" PRIu64 " unparseable lines\n",
+                 path, stats.parseErrors);
+  hub.finalize(stats.horizon);
+  *out = attr.report();
+  return true;
+}
+
+/// The summary's own view of the replayed stream: per-layer totals, span
+/// balance (every 'B' needs a matching 'E') and the highest app rank.
+class SummarySink final : public bgckpt::obs::TraceSink {
+ public:
+  void event(const bgckpt::obs::TraceEvent& ev) override {
+    const std::string cat = bgckpt::obs::layerName(ev.layer);
+    LayerTotals& lt = layers[cat];
+    ++lt.events;
+    lt.bytes += ev.bytes;
+    if (ev.phase == 'B' || ev.phase == 'E') {
+      const std::string key =
+          cat + "/" + std::to_string(ev.tid) + "/" + ev.name;
+      if (ev.phase == 'B') {
+        ++openSpans[key];
+      } else {
+        auto it = openSpans.find(key);
+        if (it == openSpans.end() || it->second == 0)
+          ++unmatchedEnds;
+        else if (--it->second == 0)
+          openSpans.erase(it);
+      }
+    }
+    if (ev.phase == 'X') {
+      lt.busySeconds += ev.dur;
+      if (ev.layer == bgckpt::obs::Layer::kApp)
+        maxAppRank = std::max(maxAppRank, ev.tid);
+    }
+  }
+
+  std::map<std::string, LayerTotals> layers;
+  // Open 'B' spans per (layer, tid, name); drained by matching 'E's.
+  std::map<std::string, std::uint64_t> openSpans;
+  std::uint64_t unmatchedEnds = 0;
+  int maxAppRank = -1;
+};
 
 int runAttrMode(const char* pathA, const char* pathB) {
   using bgckpt::obs::AttributionEngine;
@@ -1168,8 +1226,10 @@ int main(int argc, char** argv) {
             Form::kSpaced)});
   std::vector<std::string> inputs;
   cli.parseOrExit(argc, argv, &inputs);
-  if (inputs.empty()) return cli.usageError("missing input file");
-  const char* path = inputs.back().c_str();
+  if (inputs.size() != 1)
+    return cli.usageError(inputs.empty() ? "missing input file"
+                                         : "expected one input file");
+  const char* path = inputs.front().c_str();
   const char* diffPath = diff.empty() ? nullptr : diff.c_str();
   const char* baselinePath = baseline.empty() ? nullptr : baseline.c_str();
   if (diffPath != nullptr && mode == kSummary)
@@ -1186,83 +1246,32 @@ int main(int argc, char** argv) {
   if (mode == kCampaign)
     return runCampaignMode(path, diffPath, baselinePath, tolerance);
 
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "trace_report: cannot open %s\n", path);
-    return 2;
-  }
-
-  std::map<std::string, LayerTotals> layers;
-  // Open 'B' spans per (layer, tid, name); drained by matching 'E's.
-  std::map<std::string, std::uint64_t> openSpans;
-  std::uint64_t parseErrors = 0, lines = 0, unmatchedEnds = 0;
+  bgckpt::obs::Observability hub;
+  auto summary = std::make_shared<SummarySink>();
   bgckpt::prof::IoProfile profile;
-  double horizon = 0;
-  int maxRank = -1;
-
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++lines;
-    std::string err;
-    const auto doc = bgckpt::obs::json::parse(line, &err);
-    if (!doc || !doc->isObject()) {
-      ++parseErrors;
-      continue;
-    }
-    const std::string cat = doc->stringOr("cat", "?");
-    const std::string name = doc->stringOr("name", "?");
-    const std::string ph = doc->stringOr("ph", "X");
-    const double ts = doc->numberOr("ts", 0);
-    const double dur = doc->numberOr("dur", 0);
-    const auto bytes =
-        static_cast<std::uint64_t>(doc->numberOr("bytes", 0));
-    const int tid = static_cast<int>(doc->numberOr("tid", 0));
-
-    auto& lt = layers[cat];
-    ++lt.events;
-    lt.bytes += bytes;
-    horizon = std::max(horizon, ts + dur);
-
-    if (ph == "B" || ph == "E") {
-      const std::string key =
-          cat + "/" + std::to_string(tid) + "/" + name;
-      if (ph == "B") {
-        ++openSpans[key];
-      } else {
-        auto it = openSpans.find(key);
-        if (it == openSpans.end() || it->second == 0)
-          ++unmatchedEnds;
-        else if (--it->second == 0)
-          openSpans.erase(it);
-      }
-    }
-    if (ph == "X") {
-      lt.busySeconds += dur;
-      if (cat == "io") {
-        if (const auto op = bgckpt::prof::opFromName(name)) {
-          profile.record(tid, *op, ts, ts + dur, bytes);
-          maxRank = std::max(maxRank, tid);
-        }
-      }
-      if (cat == "app") maxRank = std::max(maxRank, tid);
-    }
-  }
+  hub.addSink(summary);
+  hub.addSink(std::make_shared<bgckpt::prof::IoProfileSink>(profile));
+  ReplayStats stats;
+  if (!replayJsonl(path, hub, &stats)) return 2;
+  int maxRank = summary->maxAppRank;
+  for (const auto& r : profile.records()) maxRank = std::max(maxRank, r.rank);
 
   std::printf("trace_report: %s\n", path);
   std::printf("%" PRIu64 " events on %zu layers, horizon %.3f s\n",
-              static_cast<std::uint64_t>(lines), layers.size(), horizon);
-  if (parseErrors)
-    std::printf("WARNING: %" PRIu64 " unparseable lines\n", parseErrors);
+              stats.lines, summary->layers.size(), stats.horizon);
+  if (stats.parseErrors)
+    std::printf("WARNING: %" PRIu64 " unparseable lines\n",
+                stats.parseErrors);
 
   std::printf("\n%-12s %12s %16s %14s\n", "layer", "events", "bytes",
               "busy-seconds");
-  for (const auto& [cat, lt] : layers)
+  for (const auto& [cat, lt] : summary->layers)
     std::printf("%-12s %12" PRIu64 " %16" PRIu64 " %14.3f\n", cat.c_str(),
                 lt.events, lt.bytes, lt.busySeconds);
 
   std::uint64_t stillOpen = 0;
-  for (const auto& [key, n] : openSpans) stillOpen += n;
+  for (const auto& [key, n] : summary->openSpans) stillOpen += n;
+  const std::uint64_t unmatchedEnds = summary->unmatchedEnds;
   const bool balanced = stillOpen == 0 && unmatchedEnds == 0;
   std::printf("\nspan balance: %s (%" PRIu64 " unclosed, %" PRIu64
               " unmatched ends)\n",
@@ -1274,6 +1283,7 @@ int main(int argc, char** argv) {
     opt.jobName = "trace";
     std::printf("\n%s", bgckpt::prof::renderReport(profile, opt).c_str());
 
+    const double horizon = stats.horizon;
     const double binWidth = horizon / bins;
     std::vector<std::string> names;
     std::vector<std::vector<int>> series;
@@ -1292,5 +1302,5 @@ int main(int argc, char** argv) {
                       .c_str());
   }
 
-  return balanced && parseErrors == 0 ? 0 : 1;
+  return balanced && stats.parseErrors == 0 ? 0 : 1;
 }
